@@ -3,7 +3,8 @@
 Every command reads one curve (from a JSON spec or a named builtin),
 runs the corresponding library operation, and writes report.json (plus
 report.csv where the result is tabular, and SVG figures on request)
-into the output directory.  Reports embed the fully resolved
+into the output directory.  Commands only format library results: no
+quantity is computed here.  Reports embed the fully resolved
 configuration and are byte-identical across reruns with equal flags.
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 numerical
@@ -22,29 +23,12 @@ import sys
 import numpy as np
 
 from .curveio import BUILTIN_NAMES, CurveFormatError, builtin_curve, load_curve, save_polyline
-from .curves import (
-    CurveValidationError,
-    completed_curve,
-    mollify_sequence,
-    total_variation,
-)
-from .homogeneous import (
-    ExtensionParams,
-    graph_area_term,
-    singular_term,
-    tangential_variation,
-    total_variation_Du,
-)
-from .plateau import PlateauOptions, minimize_for_datum
-from .relaxation import (
-    RecoveryMismatchError,
-    minimize_for_profile,
-    recovery_sequence,
-    slicing_check,
-    strict_convergence_report,
-)
+from .curves import CurveValidationError, completed_curve, total_variation
+from .homogeneous import ExtensionParams, relaxed_area, tangential_variation, total_variation_Du
+from .plateau import PlateauCertificate, PlateauOptions, plateau_value
+from .relaxation import slicing_check, strict_convergence_report
 from .svgout import curve_svg, mesh_svg
-from .winding import winding_area, winding_area_grid
+from .winding import winding_area_grid
 
 _COMMANDS = (
     ("tv", "variation decomposition of a curve"),
@@ -124,21 +108,29 @@ def _write_svg(outdir: str, name: str, text: str) -> None:
         f.write(text)
 
 
-def _plateau_parts(curve, options: PlateauOptions):
-    poly = completed_curve(curve, options.n_completion)
-    result = minimize_for_datum(poly, options)
-    lower = winding_area(poly)
-    upper = result.energy
-    cert = {
-        "lower": lower,
-        "upper": upper,
-        "delta_final": options.delta_schedule[-1],
-        "h": options.mesh_h,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "gap_flag": upper > 1.05 * lower + 1e-9,
+def _extension_params(config: dict) -> ExtensionParams:
+    return ExtensionParams(radius=config["radius"], nodes=config["nodes"])
+
+
+def _plateau_options(config: dict) -> PlateauOptions:
+    return PlateauOptions(mesh_h=config["mesh_h"], delta_schedule=tuple(config["delta_schedule"]))
+
+
+def _certificate_json(cert: PlateauCertificate) -> dict:
+    return {
+        "lower": cert.lower,
+        "upper": cert.upper,
+        "delta_final": cert.delta_final,
+        "h": cert.h,
+        "iterations": cert.iterations,
+        "converged": cert.converged,
+        "gap_flag": cert.gap_flag,
     }
-    return poly, result, cert
+
+
+def _write_plateau_svgs(outdir: str, cert: PlateauCertificate) -> None:
+    _write_svg(outdir, "curve.svg", curve_svg(cert.poly))
+    _write_svg(outdir, "mesh.svg", mesh_svg(cert.result.dmap))
 
 
 def _cmd_tv(curve, args, config, outdir):
@@ -172,45 +164,36 @@ def _cmd_complete(curve, args, config, outdir):
 
 
 def _cmd_plateau(curve, args, config, outdir):
-    options = PlateauOptions(mesh_h=args.mesh_h,
-                             delta_schedule=_parse_floats(args.delta_schedule, "--delta-schedule"))
-    poly, result, cert = _plateau_parts(curve, options)
-    grid = winding_area_grid(poly, resolution=64, seed=args.seed)
+    cert = plateau_value(curve, _plateau_options(config))
+    grid = winding_area_grid(cert.poly, resolution=64, seed=args.seed)
     _write_json(outdir, {
         "config": config,
-        "plateau": cert,
+        "plateau": _certificate_json(cert),
         "winding_grid": {"value": grid.value, "stderr": grid.stderr,
                          "resolution": grid.resolution, "samples": grid.samples},
     })
     if args.emit_svg:
-        _write_svg(outdir, "curve.svg", curve_svg(poly))
-        _write_svg(outdir, "mesh.svg", mesh_svg(result.dmap))
-    return 0 if cert["converged"] else 3
+        _write_plateau_svgs(outdir, cert)
+    return 0 if cert.converged else 3
 
 
 def _cmd_area(curve, args, config, outdir):
-    params = ExtensionParams(radius=args.radius, nodes=args.nodes)
-    options = PlateauOptions(mesh_h=args.mesh_h,
-                             delta_schedule=_parse_floats(args.delta_schedule, "--delta-schedule"))
-    graph = graph_area_term(curve, params)
-    sing = singular_term(curve, params)
-    poly, result, cert = _plateau_parts(curve, options)
+    rep = relaxed_area(curve, _extension_params(config), _plateau_options(config))
     _write_json(outdir, {
         "config": config,
-        "graph_area": graph,
-        "singular": sing,
-        "plateau": cert,
-        "relaxed_lower": graph + sing + cert["lower"],
-        "relaxed_upper": graph + sing + cert["upper"],
+        "graph_area": rep.graph_area,
+        "singular": rep.singular,
+        "plateau": _certificate_json(rep.plateau),
+        "relaxed_lower": rep.relaxed_lower,
+        "relaxed_upper": rep.relaxed_upper,
     })
     if args.emit_svg:
-        _write_svg(outdir, "curve.svg", curve_svg(poly))
-        _write_svg(outdir, "mesh.svg", mesh_svg(result.dmap))
-    return 0 if cert["converged"] else 3
+        _write_plateau_svgs(outdir, rep.plateau)
+    return 0 if rep.plateau.converged else 3
 
 
 def _cmd_tangential(curve, args, config, outdir):
-    params = ExtensionParams(radius=args.radius, nodes=args.nodes)
+    params = _extension_params(config)
     _write_json(outdir, {
         "config": config,
         "tangential_variation": tangential_variation(curve, params, args.eps),
@@ -222,11 +205,8 @@ def _cmd_tangential(curve, args, config, outdir):
 
 
 def _cmd_verify_recovery(curve, args, config, outdir):
-    params = ExtensionParams(radius=args.radius, nodes=args.nodes)
-    options = PlateauOptions(mesh_h=args.mesh_h,
-                             delta_schedule=_parse_floats(args.delta_schedule, "--delta-schedule"))
-    ks = _parse_ints(args.ks, "--ks")
-    rep = strict_convergence_report(curve, params, ks, options)
+    rep = strict_convergence_report(curve, _extension_params(config), tuple(config["ks"]),
+                                    _plateau_options(config))
     _write_json(outdir, {
         "config": config,
         "k_values": list(rep.k_values),
@@ -253,21 +233,14 @@ def _cmd_verify_recovery(curve, args, config, outdir):
                                             rep.filler_jacobian_tv)])
     if args.emit_svg:
         _write_svg(outdir, "curve.svg", curve_svg(completed_curve(curve, 256)))
-        base = minimize_for_datum(curve, options)
-        try:
-            vk = recovery_sequence(curve, params, ks[-1], base.dmap, mesh_h=options.mesh_h)
-        except RecoveryMismatchError:
-            fit = minimize_for_profile(mollify_sequence(curve, ks[-1]), options)
-            vk = recovery_sequence(curve, params, ks[-1], fit.dmap, mesh_h=options.mesh_h)
-        _write_svg(outdir, "mesh.svg", mesh_svg(vk))
+        _write_svg(outdir, "mesh.svg", mesh_svg(rep.recovery_map))
     ok = (rep.l1_nonincreasing and rep.tv_nondecreasing and rep.tv_within_target
           and rep.jacobian_matched is not False)
     return 0 if ok else 3
 
 
 def _cmd_slice_check(curve, args, config, outdir):
-    params = ExtensionParams(radius=args.radius, nodes=args.nodes)
-    rep = slicing_check(curve, params, eps=args.eps, n_radii=args.n_radii)
+    rep = slicing_check(curve, _extension_params(config), eps=args.eps, n_radii=args.n_radii)
     _write_json(outdir, {
         "config": config,
         "circle_tv": rep.circle_tv,

@@ -697,6 +697,9 @@ def reparam_profile(curve: Curve) -> ReparamProfile:
 
 
 def _pl_interpolant(c: CumulativeVariation, cells: int) -> CumulativeVariation:
+    # a profile is already piecewise linear on its own grid (one cell when
+    # linear), so finer grids than that would only cost memory
+    cells = 1 if c.kind == "linear" else min(cells, len(c.samples) - 1)
     xs = np.linspace(0.0, 1.0, cells + 1)
     vals = np.asarray(c.value_at(xs), dtype=float)
     vals[0] = 0.0
@@ -743,7 +746,8 @@ def _recut_inside_arc(curve: Curve) -> Curve:
 def mollify_sequence(curve: Curve, k: int) -> Curve:
     """Lipschitz approximant: jumps become linear transitions on shrinking
     angle windows of width min(2*pi/(8*#jumps), 1/k); Cantor allocations
-    become their piecewise-linear interpolants on 2**k subintervals.
+    become their piecewise-linear interpolants on min(2**k, n) subintervals,
+    n the number of cells the profile is sampled on (1 for a linear one).
 
     Absolutely continuous curves come back unchanged.  Windows are clamped
     away from neighbouring jump angles (and from the closing boundary of an

@@ -26,7 +26,7 @@ import numpy as np
 
 from .curves import Curve, completed_curve, evaluate_many, total_variation
 from .meshing import TriMesh
-from .plateau import PlateauOptions, arclength_centroid, plateau_value
+from .plateau import PlateauCertificate, PlateauOptions, arclength_centroid, plateau_value
 
 
 @dataclass(frozen=True)
@@ -45,17 +45,15 @@ class ExtensionParams:
 class EnergyReport:
     """Relaxed graph area of the extension, split by origin of mass.
 
-    relaxed_lower/upper differ only through the Plateau bracket of the
-    completed curve; gap_flag is inherited from that bracket.
+    relaxed_lower/upper differ only through plateau, the bracket of the
+    completed curve; its gap_flag marks upper > GAP_RATIO * lower + 1e-9.
     """
 
     graph_area: float
     singular: float
-    plateau_lower: float
-    plateau_upper: float
+    plateau: PlateauCertificate
     relaxed_lower: float
     relaxed_upper: float
-    gap_flag: bool
 
 
 def radial_integral(radius: float, m: float) -> float:
@@ -111,15 +109,7 @@ def relaxed_area(
     graph = graph_area_term(curve, params)
     sing = singular_term(curve, params)
     cert = plateau_value(curve, plateau_options)
-    return EnergyReport(
-        graph,
-        sing,
-        cert.lower,
-        cert.upper,
-        graph + sing + cert.lower,
-        graph + sing + cert.upper,
-        cert.gap_flag,
-    )
+    return EnergyReport(graph, sing, cert, graph + sing + cert.lower, graph + sing + cert.upper)
 
 
 def sample_extension(mesh: TriMesh, curve: Curve) -> np.ndarray:

@@ -22,7 +22,7 @@ Barzilai-Borwein steps and Armijo backtracking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,12 +58,17 @@ class PlateauOptions:
     n_completion: int = 512
 
 
+GAP_RATIO = 1.05
+
+
 @dataclass(frozen=True)
 class PlateauCertificate:
     """Bracket [lower, upper] for the least sweeping area of the datum.
 
-    gap_flag marks brackets wider than five percent, where the computed
-    upper end should not be quoted as the value itself.
+    gap_flag marks brackets with upper > GAP_RATIO * lower + 1e-9, where
+    the computed upper end should not be quoted as the value itself.
+    poly is the completed datum and result the minimisation behind the
+    upper end; neither takes part in comparisons.
     """
 
     lower: float
@@ -73,6 +78,8 @@ class PlateauCertificate:
     iterations: int
     converged: bool
     gap_flag: bool
+    poly: ClosedPolyline = field(compare=False, repr=False)
+    result: MinimizeResult = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,20 +99,6 @@ def arclength_centroid(poly: ClosedPolyline) -> np.ndarray:
         return v[0].copy()
     mids = 0.5 * (v[:-1] + v[1:])
     return np.average(mids, axis=0, weights=seg)
-
-
-def boundary_datum(poly: ClosedPolyline, mesh: TriMesh) -> np.ndarray:
-    rim = mesh.vertices[mesh.boundary_loop]
-    ang = np.mod(np.arctan2(rim[:, 1], rim[:, 0]), 2 * math.pi)
-    return poly.point_at(ang)
-
-
-def homogeneous_init(mesh: TriMesh, poly: ClosedPolyline) -> np.ndarray:
-    """Radially interpolated start: centroid at the origin, datum at the rim."""
-    c = arclength_centroid(poly)
-    r = np.linalg.norm(mesh.vertices, axis=1) / mesh.radius
-    ang = np.mod(np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0]), 2 * math.pi)
-    return c + r[:, None] * (poly.point_at(ang) - c)
 
 
 def _energy_grad(values, tris, det_s, delta, grad_out):
@@ -214,17 +207,26 @@ def _as_polyline(datum: Curve | ClosedPolyline, options: PlateauOptions) -> Clos
     return datum
 
 
+def _minimize_radial(value_at, corner_angles, centroid, options: PlateauOptions) -> MinimizeResult:
+    """Minimise on the unit-disk mesh whose rim keeps corner_angles, with
+    every rim vertex pinned to value_at(its angle).  The start interpolates
+    radially from centroid at the origin to value_at on the rim."""
+    mesh = make_disk_mesh(1.0, options.mesh_h, extra_boundary_angles=corner_angles)
+    ang = np.mod(np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0]), 2 * math.pi)
+    vals = value_at(ang)
+    r = np.linalg.norm(mesh.vertices, axis=1) / mesh.radius
+    init = centroid + r[:, None] * (vals - centroid)
+    return jacobian_tv_minimize(mesh, vals[mesh.boundary_loop], options, init=init)
+
+
 def minimize_for_datum(
     datum: Curve | ClosedPolyline, options: PlateauOptions = PlateauOptions()
 ) -> MinimizeResult:
-    """Set up the unit-disk mesh for a datum and minimise from the radial
-    start.  The rim sampling keeps the datum's corner angles, so the
-    boundary trace of every iterate is the completed polyline itself."""
+    """Minimise from the radial start with the rim traversing the completed
+    polyline at constant speed.  The rim sampling keeps the datum's corner
+    angles, so the boundary trace of every iterate is the polyline itself."""
     poly = _as_polyline(datum, options)
-    mesh = make_disk_mesh(1.0, options.mesh_h, extra_boundary_angles=poly.vertex_angles())
-    bvals = boundary_datum(poly, mesh)
-    init = homogeneous_init(mesh, poly)
-    return jacobian_tv_minimize(mesh, bvals, options, init=init)
+    return _minimize_radial(poly.point_at, poly.vertex_angles(), arclength_centroid(poly), options)
 
 
 def plateau_value(
@@ -239,7 +241,7 @@ def plateau_value(
     result = minimize_for_datum(poly, options)
     lower = winding_area(poly)
     upper = result.energy
-    gap = upper > 1.05 * lower + 1e-9
+    gap = upper > GAP_RATIO * lower + 1e-9
     return PlateauCertificate(
         lower,
         upper,
@@ -248,4 +250,6 @@ def plateau_value(
         result.iterations,
         result.converged,
         gap,
+        poly,
+        result,
     )

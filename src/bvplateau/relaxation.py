@@ -13,7 +13,7 @@ variation computed from the curve itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,14 +27,14 @@ from .curves import (
 )
 from .geometry import TWO_PI
 from .homogeneous import ExtensionParams, graph_area_term, singular_term, tangential_variation
-from .meshing import TriMesh, make_disk_mesh
+from .meshing import TriMesh
 from .plateau import (
     DiscreteMap,
     MinimizeResult,
     PlateauOptions,
+    _minimize_radial,
     arclength_centroid,
     jacobian_tv,
-    jacobian_tv_minimize,
     minimize_for_datum,
 )
 from .winding import winding_area
@@ -98,14 +98,8 @@ def minimize_for_profile(
     and the one a recovery gluing needs.
     """
     extras = [p.theta0 for p in curve.arcs] + [p.theta for p in curve.jumps]
-    mesh = make_disk_mesh(1.0, options.mesh_h, extra_boundary_angles=extras)
-    ang = np.mod(np.arctan2(mesh.vertices[:, 1], mesh.vertices[:, 0]), TWO_PI)
-    vals = evaluate_many(curve, ang)
-    bvals = vals[mesh.boundary_loop]
     c = arclength_centroid(completed_curve(curve, options.n_completion))
-    r = np.linalg.norm(mesh.vertices, axis=1) / mesh.radius
-    init = c + r[:, None] * (vals - c)
-    return jacobian_tv_minimize(mesh, bvals, options, init=init)
+    return _minimize_radial(lambda ang: evaluate_many(curve, ang), extras, c, options)
 
 
 # ring-gap grading toward the gluing circle: four shrinking steps, then uniform
@@ -189,7 +183,8 @@ class SequenceReport:
     """Per-index record of a mollified approximating sequence.
 
     Mesh columns (area, Jacobian masses) are NaN when no mesh options
-    were supplied; the three-valued flags are None in that case.
+    were supplied; the three-valued flags and recovery_map, the glued
+    map for the last k, are None in that case.
     """
 
     k_values: tuple[int, ...]
@@ -207,6 +202,7 @@ class SequenceReport:
     tv_within_target: bool
     jacobian_matched: bool | None
     area_converged: bool | None
+    recovery_map: DiscreteMap | None = field(compare=False, repr=False)
 
 
 def strict_convergence_report(
@@ -234,8 +230,9 @@ def strict_convergence_report(
     poly = completed_curve(curve, 512 if options is None else options.n_completion)
     area_target = graph_area_term(curve, params) + singular_term(curve, params) + winding_area(poly)
 
-    base = minimize_for_datum(curve, options) if options is not None else None
+    base = minimize_for_datum(poly, options) if options is not None else None
 
+    vk = None
     l1s, tvs, areas, jtvs, fjtvs = [], [], [], [], []
     for k in ks:
         phi = mollify_sequence(curve, k)
@@ -284,6 +281,7 @@ def strict_convergence_report(
         all(t <= tv_target + slack for t in tvs),
         jac_ok,
         area_ok,
+        vk,
     )
 
 

@@ -3,11 +3,14 @@
 import json
 import math
 import os
+import sys
 
 import pytest
 
+from bvplateau import plateau
 from bvplateau.cli import main
 from bvplateau.curveio import builtin_curve, save_curve
+from bvplateau.homogeneous import ExtensionParams, relaxed_area
 
 
 def run(tmp_path, *argv):
@@ -69,6 +72,13 @@ def test_area_report(tmp_path):
     expect = math.pi + 3 + math.sqrt(3) / 4
     assert rep["relaxed_lower"] == pytest.approx(expect, abs=1e-3)
     assert rep["relaxed_upper"] >= rep["relaxed_lower"] - 1e-9
+    # the report formats the library result for the same flags, unchanged
+    lib = relaxed_area(builtin_curve("triple"), ExtensionParams(radius=1.0),
+                       plateau.PlateauOptions(mesh_h=0.15))
+    for key in ("graph_area", "singular", "relaxed_lower", "relaxed_upper"):
+        assert rep[key] == getattr(lib, key)
+    for key, value in rep["plateau"].items():
+        assert value == getattr(lib.plateau, key)
 
 
 def test_tangential(tmp_path):
@@ -152,11 +162,25 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     assert (target / "report.json").exists()
 
 
-def test_emit_svg_mesh_for_recovery(tmp_path):
+def test_emit_svg_mesh_for_recovery(tmp_path, monkeypatch):
+    # count minimisations through every module namespace that binds the minimiser
+    real = plateau.jacobian_tv_minimize
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bvplateau") and getattr(mod, "jacobian_tv_minimize", None) is real:
+            monkeypatch.setattr(mod, "jacobian_tv_minimize", counting)
     code, out, _ = run(
         tmp_path, "verify-recovery", "--builtin", "triple",
         "--mesh-h", "0.2", "--ks", "2", "--emit-svg",
     )
     assert code == 0
+    # the figure draws the report's own recovery map: the datum filler and
+    # the angle-matched filler for k = 2, each minimised once
+    assert len(calls) == 2
     assert (out / "mesh.svg").exists()
     assert (out / "curve.svg").exists()

@@ -371,14 +371,17 @@ def test_mollify_triple_l1_strictly_decreasing():
 
 def test_mollify_cantor_arc():
     curve = builtin_curve("cantor-arc")
-    for k in (2, 5):
-        phi = mollify_sequence(curve, k)
+    phis = {}
+    for k in (2, 5, 12, 32):
+        phi = phis[k] = mollify_sequence(curve, k)
         dec = total_variation(phi)
         assert dec.cantor == 0.0
         assert dec.jump == 0.0
         # the interpolant of a nondecreasing profile keeps its total mass
         assert abs(dec.total - math.pi / 2) < 1e-12
         assert abs(phi.closure_gap - math.sqrt(2)) < 1e-12
+    # past the staircase's own 3**7 cells, finer grids change nothing
+    assert np.array_equal(phis[12].arcs[0].ac.samples, phis[32].arcs[0].ac.samples)
 
 
 def test_mollify_tv_never_increases_random():

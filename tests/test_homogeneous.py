@@ -130,10 +130,10 @@ def test_relaxed_area_constant_exact():
     )
     assert report.graph_area == math.pi
     assert report.singular == 0.0
-    assert report.plateau_lower == 0.0 and report.plateau_upper == 0.0
+    assert report.plateau.lower == 0.0 and report.plateau.upper == 0.0
     assert report.relaxed_lower == math.pi
     assert report.relaxed_upper == math.pi
-    assert not report.gap_flag
+    assert not report.plateau.gap_flag
 
 
 def test_relaxed_area_triple_structure():
@@ -146,7 +146,7 @@ def test_relaxed_area_triple_structure():
     assert report.relaxed_lower == pytest.approx(expect_lower, abs=1e-6)
     assert report.relaxed_upper >= report.relaxed_lower - 1e-9
     assert report.relaxed_upper <= expect_lower * 1.01
-    assert not report.gap_flag
+    assert not report.plateau.gap_flag
 
 
 def test_sample_extension_values():

@@ -5,6 +5,7 @@ equilateral triangle with unit sides has sqrt(3)/4; any admissible map's
 Jacobian total variation dominates the winding area of its datum.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,16 +19,18 @@ from bvplateau.plateau import (
     PlateauOptions,
     _energy_grad,
     arclength_centroid,
-    boundary_datum,
-    homogeneous_init,
     jacobian_tv,
-    jacobian_tv_minimize,
     minimize_for_datum,
     plateau_value,
 )
 from bvplateau.winding import winding_area
 
 QUICK = PlateauOptions(mesh_h=0.15, max_iters=4000)
+
+
+def rim_angles(mesh):
+    rim = mesh.vertices[mesh.boundary_loop]
+    return np.mod(np.arctan2(rim[:, 1], rim[:, 0]), 2 * math.pi)
 
 
 def test_energy_gradient_matches_finite_differences():
@@ -69,7 +72,7 @@ def test_degree_bound_any_admissible_map():
     rng = np.random.default_rng(12)
     poly = completed_curve(builtin_curve("vortex"), 64)
     mesh = make_disk_mesh(1.0, 0.3, extra_boundary_angles=poly.vertex_angles())
-    bvals = boundary_datum(poly, mesh)
+    bvals = poly.point_at(rim_angles(mesh))
     lower = winding_area(poly)
     for _ in range(10):
         values = rng.normal(scale=2.0, size=(mesh.n_vertices, 2))
@@ -120,10 +123,9 @@ def test_certificate_deterministic():
 
 def test_minimize_respects_boundary():
     poly = completed_curve(builtin_curve("triple"), 64)
-    mesh = make_disk_mesh(1.0, 0.3, extra_boundary_angles=poly.vertex_angles())
-    bvals = boundary_datum(poly, mesh)
-    init = homogeneous_init(mesh, poly)
-    result = jacobian_tv_minimize(mesh, bvals, QUICK, init=init)
+    result = minimize_for_datum(poly, dataclasses.replace(QUICK, mesh_h=0.3))
+    mesh = result.dmap.mesh
+    bvals = poly.point_at(rim_angles(mesh))
     assert np.array_equal(result.dmap.values[mesh.boundary_loop], bvals)
 
 

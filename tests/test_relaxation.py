@@ -211,7 +211,7 @@ def test_report_triple_meshfree_trends():
 
 def test_report_cantor_arc_meshfree():
     curve = builtin_curve("cantor-arc")
-    rep = strict_convergence_report(curve, ExtensionParams(), ks=(2, 4, 8))
+    rep = strict_convergence_report(curve, ExtensionParams(), ks=(2, 4, 8, 32))
     assert all(t == pytest.approx(math.pi / 2, abs=1e-12) for t in rep.tv_values)
     assert rep.tv_within_target
 
