@@ -7,8 +7,13 @@ into the output directory.  Commands only format library results: no
 quantity is computed here.  Reports embed the fully resolved
 configuration and are byte-identical across reruns with equal flags.
 
-Exit codes: 0 success, 2 invalid input or configuration, 3 numerical
-non-convergence or failed verification (reports are still written).
+Exit codes: 0 success; 2 invalid input or configuration; 3, with the
+reports still written, when `plateau` or `area` ends with the Plateau
+minimiser's last delta-stage stopped by max_iters or by a failed line
+search (neither bracket_closed nor stationary: report.json's
+plateau.termination names it), or when `verify-recovery` finds the L1
+errors increasing, the variations decreasing or above their target, or
+a Jacobian mismatch.
 """
 
 from __future__ import annotations
@@ -16,11 +21,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-
-import numpy as np
 
 from .curveio import BUILTIN_NAMES, CurveFormatError, builtin_curve, load_curve, save_polyline
 from .curves import CurveValidationError, completed_curve, total_variation
@@ -124,6 +126,7 @@ def _certificate_json(cert: PlateauCertificate) -> dict:
         "h": cert.h,
         "iterations": cert.iterations,
         "converged": cert.converged,
+        "termination": cert.termination,
         "gap_flag": cert.gap_flag,
     }
 
@@ -150,11 +153,10 @@ def _cmd_tv(curve, args, config, outdir):
 
 def _cmd_complete(curve, args, config, outdir):
     poly = completed_curve(curve, 256)
-    seg = np.linalg.norm(np.diff(poly.vertices, axis=0), axis=1)
     _write_json(outdir, {
         "config": config,
         "n_vertices": len(poly.vertices) - 1,  # closing duplicate not counted
-        "length": math.fsum(seg.tolist()),
+        "length": poly.length,
         "closure_gap": curve.closure_gap,
     })
     save_polyline(poly, os.path.join(outdir, "report.csv"))

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, completed_curve, evaluate_many, total_variation
+from .curves import Curve, evaluate_many, total_variation
 from .meshing import TriMesh
-from .plateau import PlateauCertificate, PlateauOptions, arclength_centroid, plateau_value
+from .plateau import PlateauCertificate, PlateauOptions, origin_value, plateau_value
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def relaxed_area(
 def sample_extension(mesh: TriMesh, curve: Curve) -> np.ndarray:
     """Vertex values of the homogeneous extension on a disk mesh.
 
-    The origin, where the extension has no trace, gets the arclength
-    centroid of the completed curve.
+    The origin, where the extension has no trace, gets
+    plateau.origin_value, the start value of every profile filler.
     """
     v = mesh.vertices
     r = np.linalg.norm(v, axis=1)
@@ -124,5 +124,5 @@ def sample_extension(mesh: TriMesh, curve: Curve) -> np.ndarray:
     vals = evaluate_many(curve, ang)
     at_origin = r == 0.0
     if np.any(at_origin):
-        vals[at_origin] = arclength_centroid(completed_curve(curve, 256))
+        vals[at_origin] = origin_value(curve)
     return vals

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import (
+    ClosedPolyline,
     Curve,
     completed_curve,
     evaluate_many,
@@ -32,10 +33,11 @@ from .plateau import (
     DiscreteMap,
     MinimizeResult,
     PlateauOptions,
-    _minimize_radial,
-    arclength_centroid,
+    _datum_start,
+    _minimize_from,
+    _radial_start,
     jacobian_tv,
-    minimize_for_datum,
+    origin_value,
 )
 from .winding import winding_area
 
@@ -95,11 +97,14 @@ def minimize_for_profile(
     Unlike minimize_for_datum, which traverses the completed polyline at
     constant speed, the rim vertex at angle theta is pinned to the curve
     value at theta.  This is the datum matching a homogeneous extension,
-    and the one a recovery gluing needs.
+    and the one a recovery gluing needs.  The lower end of the bracket is
+    the winding area of the rim polygon.
     """
     extras = [p.theta0 for p in curve.arcs] + [p.theta for p in curve.jumps]
-    c = arclength_centroid(completed_curve(curve, options.n_completion))
-    return _minimize_radial(lambda ang: evaluate_many(curve, ang), extras, c, options)
+    start = _radial_start(lambda ang: evaluate_many(curve, ang), extras, origin_value(curve),
+                          options.mesh_h)
+    rim = ClosedPolyline(start.values[start.mesh.boundary_loop])
+    return _minimize_from(start, options, winding_area(rim))
 
 
 # ring-gap grading toward the gluing circle: four shrinking steps, then uniform
@@ -116,13 +121,29 @@ def _annulus_radii(s: float, ell: float, h: float) -> np.ndarray:
     return radii
 
 
+INTERFACE_TOL = 1e-3
+
+
+def _seam_values(phi: Curve, filler: DiscreteMap, interface_tol: float):
+    """Rim angles of filler and the values of phi there; raises
+    RecoveryMismatchError when the filler's pinned rim deviates from them
+    by more than interface_tol relative to the value scale."""
+    ang = _rim_angles(filler.mesh)
+    vals = evaluate_many(phi, ang)
+    scale = max(float(np.max(np.abs(vals))), 1e-12)
+    mismatch = float(np.max(np.abs(filler.values[filler.mesh.boundary_loop] - vals)))
+    if mismatch > interface_tol * scale:
+        raise RecoveryMismatchError(mismatch, interface_tol * scale)
+    return ang, vals
+
+
 def recovery_sequence(
     curve: Curve,
     params: ExtensionParams,
     k: int,
     filler: DiscreteMap,
     mesh_h: float = 0.05,
-    interface_tol: float = 1e-3,
+    interface_tol: float = INTERFACE_TOL,
 ) -> DiscreteMap:
     """Glue a rescaled filler into the homogeneous extension of the
     mollified profile: the filler occupies the disk of radius R/k, the
@@ -138,13 +159,7 @@ def recovery_sequence(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    phi = mollify_sequence(curve, k)
-    ang = _rim_angles(filler.mesh)
-    vals = evaluate_many(phi, ang)
-    scale = max(float(np.max(np.abs(vals))), 1e-12)
-    mismatch = float(np.max(np.abs(filler.values[filler.mesh.boundary_loop] - vals)))
-    if mismatch > interface_tol * scale:
-        raise RecoveryMismatchError(mismatch, interface_tol * scale)
+    ang, vals = _seam_values(mollify_sequence(curve, k), filler, interface_tol)
 
     s = params.radius / k
     dom_scale = s / filler.mesh.radius
@@ -215,9 +230,11 @@ def strict_convergence_report(
     scaled variation for every k, plus graph area and Jacobian mass of
     the glued recovery maps when mesh options are given.
 
-    The constant-speed filler for the completed curve is minimised once
-    and reused; if its rim parametrization cannot match the mollified
-    profile (jumpy curves), each k gets its own angle-matched filler.
+    The constant-speed filler for the completed curve serves every k
+    whose mollified profile its rim matches, and is minimised once, only
+    if some k uses it; the other k (jumpy curves) get their own
+    angle-matched filler.  Rims are pinned, so the match is decided on
+    the radial start, before any minimisation.
     """
     ks = tuple(int(k) for k in ks)
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
@@ -228,9 +245,11 @@ def strict_convergence_report(
     ell = params.radius
     tv_target = ell * total_variation(curve).total
     poly = completed_curve(curve, 512 if options is None else options.n_completion)
-    area_target = graph_area_term(curve, params) + singular_term(curve, params) + winding_area(poly)
+    lower = winding_area(poly)
+    area_target = graph_area_term(curve, params) + singular_term(curve, params) + lower
 
-    base = minimize_for_datum(poly, options) if options is not None else None
+    start = _datum_start(poly, options.mesh_h) if options is not None else None
+    base = None
 
     vk = None
     l1s, tvs, areas, jtvs, fjtvs = [], [], [], [], []
@@ -246,15 +265,17 @@ def strict_convergence_report(
             fjtvs.append(math.nan)
             continue
         try:
-            vk = recovery_sequence(curve, params, k, base.dmap, mesh_h=options.mesh_h)
-            fjtv = base.energy
+            _seam_values(phi, start, INTERFACE_TOL)
         except RecoveryMismatchError:
             fit = minimize_for_profile(phi, options)
-            vk = recovery_sequence(curve, params, k, fit.dmap, mesh_h=options.mesh_h)
-            fjtv = fit.energy
+        else:
+            if base is None:
+                base = _minimize_from(start, options, lower)
+            fit = base
+        vk = recovery_sequence(curve, params, k, fit.dmap, mesh_h=options.mesh_h)
         areas.append(area_functional(vk))
         jtvs.append(jacobian_tv(vk))
-        fjtvs.append(fjtv)
+        fjtvs.append(fit.energy)
 
     jac_tol = 1e-3
     area_tol = 0.05

@@ -81,6 +81,19 @@ def test_area_report(tmp_path):
         assert value == getattr(lib.plateau, key)
 
 
+@pytest.mark.parametrize("command", ["plateau", "area"])
+@pytest.mark.parametrize("builtin", ["triple", "figure-eight"])
+def test_bracket_closes_at_default_flags(tmp_path, command, builtin):
+    code, _, rep = run(tmp_path, command, "--builtin", builtin)
+    assert code == 0
+    cert = rep["plateau"]
+    assert cert["termination"] == "bracket_closed"
+    assert cert["converged"] is True
+    # the radial start already closes the bracket: the first stage ends it
+    assert cert["delta_final"] == 0.1
+    assert cert["upper"] >= cert["lower"] - 1e-12
+
+
 def test_tangential(tmp_path):
     code, _, rep = run(
         tmp_path, "tangential", "--builtin", "vortex", "--eps", "0.5"
@@ -179,8 +192,9 @@ def test_emit_svg_mesh_for_recovery(tmp_path, monkeypatch):
         "--mesh-h", "0.2", "--ks", "2", "--emit-svg",
     )
     assert code == 0
-    # the figure draws the report's own recovery map: the datum filler and
-    # the angle-matched filler for k = 2, each minimised once
-    assert len(calls) == 2
+    # the figure draws the report's own recovery map; the datum filler's rim
+    # cannot match the jumpy profile, so only the angle-matched filler for
+    # k = 2 is minimised
+    assert len(calls) == 1
     assert (out / "mesh.svg").exists()
     assert (out / "curve.svg").exists()

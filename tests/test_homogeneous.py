@@ -164,6 +164,19 @@ def test_sample_extension_values():
     assert np.linalg.norm(vals[~on][0]) < 1e-3
 
 
+def test_origin_value_matches_profile_filler_start():
+    # one value at the origin: the extension sample and the start of the
+    # profile filler (returned unmoved when no step may run) agree exactly
+    from bvplateau.relaxation import minimize_for_profile
+
+    curve = builtin_curve("cantor-arc")
+    fit = minimize_for_profile(curve, PlateauOptions(mesh_h=0.3, max_iters=0))
+    mesh = fit.dmap.mesh
+    origin = np.linalg.norm(mesh.vertices, axis=1) == 0.0
+    assert np.count_nonzero(origin) == 1
+    assert np.array_equal(sample_extension(mesh, curve)[origin], fit.dmap.values[origin])
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ExtensionParams(radius=0.0)

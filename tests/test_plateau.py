@@ -10,17 +10,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvplateau import ClosedPolyline, completed_curve
 from bvplateau.curveio import builtin_curve, constant_curve
+from bvplateau.curves import evaluate_many, mollify_sequence
 from bvplateau.meshing import make_disk_mesh
 from bvplateau.plateau import (
+    BRACKET_RTOL,
     DiscreteMap,
     PlateauOptions,
+    _datum_start,
     _energy_grad,
+    _minimize_from,
+    _radial_start,
     arclength_centroid,
     jacobian_tv,
     minimize_for_datum,
+    origin_value,
     plateau_value,
 )
 from bvplateau.winding import winding_area
@@ -47,7 +55,7 @@ def test_energy_gradient_matches_finite_differences():
 
     def energy(v):
         g = np.zeros_like(v)
-        return _energy_grad(v, tris, det_s, 0.05, g)
+        return _energy_grad(v, tris, det_s, 0.05, g)[0]
 
     eps = 1e-6
     for idx in [(0, 0), (3, 1), (7, 0), (mesh.n_vertices - 1, 1)]:
@@ -132,3 +140,66 @@ def test_minimize_respects_boundary():
 def test_centroid_of_square():
     poly = ClosedPolyline(np.array([[0, 0], [2, 0], [2, 2], [0, 2]], dtype=float))
     assert np.allclose(arclength_centroid(poly), [1.0, 1.0])
+
+
+# ---------------------------------------------------------------- stopping rules
+
+# an annular sector from 30 to 330 degrees: its arclength centroid lies
+# outside the kernel, so the radial start overshoots the winding area
+_T = np.linspace(math.radians(30), math.radians(330), 12)
+_ARC = np.stack([np.cos(_T), np.sin(_T)], axis=-1)
+C_SHAPE = ClosedPolyline(np.vstack([_ARC, 0.5 * _ARC[::-1]]))
+
+
+@pytest.mark.parametrize("datum", ["triple", "figure-eight", "c-shape"])
+def test_upper_never_above_radial_start(datum):
+    opts = PlateauOptions(mesh_h=0.2)
+    poly = C_SHAPE if datum == "c-shape" else completed_curve(builtin_curve(datum), 512)
+    start = jacobian_tv(_datum_start(poly, opts.mesh_h))
+    cert = plateau_value(poly, opts)
+    assert cert.upper <= start
+    assert cert.termination == "bracket_closed" and cert.converged
+    assert cert.result.terminations[-1] == cert.termination
+    assert len(cert.result.terminations) == len(cert.result.stages)
+    assert cert.delta_final == cert.result.stages[-1][0]
+    if datum == "c-shape":
+        assert cert.iterations > 0
+        assert cert.upper < 0.7 * start
+
+
+@st.composite
+def star_polygons(draw):
+    """Polygons star-shaped about a random centre, 3 to 8 vertices."""
+    n = draw(st.integers(3, 8))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
+    centre = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
+    ang = 2 * math.pi * np.cumsum(gaps) / np.sum(gaps)
+    return ClosedPolyline(centre + radii[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(star_polygons())
+def test_bracket_valid_and_closed_on_star_polygons(poly):
+    cert = plateau_value(poly, PlateauOptions(mesh_h=0.3))
+    scale2 = float(np.max(np.sum(poly.vertices**2, axis=1)))
+    assert cert.upper >= cert.lower - 1e-12 * scale2
+    assert cert.termination == "bracket_closed"
+    # the stop reads a plain sum of E0, the report its correctly rounded value
+    assert cert.upper - cert.lower <= 2 * BRACKET_RTOL * max(cert.lower, scale2)
+
+
+def test_stationary_stop_without_lower_bound():
+    # the k = 8 profile filler of cantor-arc starts 9e-4 above its rim's
+    # winding area; with no bound to close on, every stage must stall
+    phi = mollify_sequence(builtin_curve("cantor-arc"), 8)
+    corners = [p.theta0 for p in phi.arcs] + [p.theta for p in phi.jumps]
+    opts = PlateauOptions(mesh_h=0.15)
+    start = _radial_start(lambda ang: evaluate_many(phi, ang), corners, origin_value(phi),
+                          opts.mesh_h)
+    result = _minimize_from(start, opts, None)
+    assert result.terminations == ("stationary",) * len(opts.delta_schedule)
+    assert result.converged
+    assert all(iters < opts.max_iters // 4 for _, iters, _ in result.stages)
+    assert result.energy < jacobian_tv(start)
+    assert result.energy == jacobian_tv(result.dmap)
