@@ -14,9 +14,13 @@ def cross2(a, b) -> float:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def perp(v: np.ndarray) -> np.ndarray:
-    """Rotate v by +90 degrees."""
-    return np.array([-v[1], v[0]])
+def triangle_dets(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each triangle: det(p1 - p0, p2 - p0) for
+    the rows of points indexed by tris, positive when counterclockwise."""
+    p = points[tris]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
 
 
 def normalize_angle(theta: float) -> float:
@@ -46,14 +50,3 @@ def polygon_signed_area(vertices: np.ndarray) -> float:
     nxt = np.roll(v, -1, axis=0)
     terms = v[:, 0] * nxt[:, 1] - v[:, 1] * nxt[:, 0]
     return 0.5 * math.fsum(terms.tolist())
-
-
-def segment_point_distance(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
-    """Distance from point p to segment [a, b]."""
-    d = b - a
-    dd = float(d @ d)
-    if dd == 0.0:
-        return float(np.hypot(*(p - a)))
-    t = float((p - a) @ d) / dd
-    t = min(1.0, max(0.0, t))
-    return float(np.hypot(*(p - (a + t * d))))

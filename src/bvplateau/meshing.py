@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI
+from .geometry import TWO_PI, triangle_dets
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,10 +36,7 @@ class TriMesh:
         return mask
 
     def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * triangle_dets(self.vertices, self.triangles)
 
     def min_angle_deg(self) -> float:
         p = self.vertices[self.triangles]
@@ -127,10 +124,7 @@ def make_disk_mesh(
 
     vertices = np.asarray(verts)
     triangles = np.asarray(tris, dtype=int)
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0.0
+    flip = triangle_dets(vertices, triangles) < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
     return TriMesh(vertices, triangles, rings[-1][1], float(radius))

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import ClosedPolyline, Curve, completed_curve
+from .geometry import triangle_dets
 from .meshing import TriMesh, make_disk_mesh
 from .winding import winding_area
 
@@ -58,16 +59,9 @@ class DiscreteMap:
     values: np.ndarray  # (n_vertices, 2)
 
 
-def _dets(values: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    p = values[tris]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-
-
 def jacobian_tv(dmap: DiscreteMap) -> float:
     """Total variation of the Jacobian: sum of area * |J| over triangles."""
-    return 0.5 * math.fsum(np.abs(_dets(dmap.values, dmap.mesh.triangles)).tolist())
+    return 0.5 * math.fsum(np.abs(triangle_dets(dmap.values, dmap.mesh.triangles)).tolist())
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ def _energy_grad(values, tris, det_s, delta, grad_out):
 
 
 def _energy_only(values, tris, det_s, delta):
-    det = _dets(values, tris)
+    det = triangle_dets(values, tris)
     return 0.5 * float(np.sum(np.sqrt(det * det + (delta * det_s) ** 2)))
 
 
@@ -191,10 +185,7 @@ def jacobian_tv_minimize(
     trace); without it the bracket rule never fires.
     """
     tris = mesh.triangles
-    dom = mesh.vertices[tris]
-    det_s = (dom[:, 1, 0] - dom[:, 0, 0]) * (dom[:, 2, 1] - dom[:, 0, 1]) - (
-        dom[:, 1, 1] - dom[:, 0, 1]
-    ) * (dom[:, 2, 0] - dom[:, 0, 0])
+    det_s = triangle_dets(mesh.vertices, tris)
 
     free = ~mesh.boundary_mask()
     values = init.copy() if init is not None else np.zeros((mesh.n_vertices, 2))

@@ -124,16 +124,16 @@ def _annulus_radii(s: float, ell: float, h: float) -> np.ndarray:
 INTERFACE_TOL = 1e-3
 
 
-def _seam_values(phi: Curve, filler: DiscreteMap, interface_tol: float):
+def _seam_values(phi: Curve, filler: DiscreteMap):
     """Rim angles of filler and the values of phi there; raises
     RecoveryMismatchError when the filler's pinned rim deviates from them
-    by more than interface_tol relative to the value scale."""
+    by more than INTERFACE_TOL relative to the value scale."""
     ang = _rim_angles(filler.mesh)
     vals = evaluate_many(phi, ang)
     scale = max(float(np.max(np.abs(vals))), 1e-12)
     mismatch = float(np.max(np.abs(filler.values[filler.mesh.boundary_loop] - vals)))
-    if mismatch > interface_tol * scale:
-        raise RecoveryMismatchError(mismatch, interface_tol * scale)
+    if mismatch > INTERFACE_TOL * scale:
+        raise RecoveryMismatchError(mismatch, INTERFACE_TOL * scale)
     return ang, vals
 
 
@@ -143,7 +143,6 @@ def recovery_sequence(
     k: int,
     filler: DiscreteMap,
     mesh_h: float = 0.05,
-    interface_tol: float = INTERFACE_TOL,
 ) -> DiscreteMap:
     """Glue a rescaled filler into the homogeneous extension of the
     mollified profile: the filler occupies the disk of radius R/k, the
@@ -153,13 +152,19 @@ def recovery_sequence(
     rings repeat the same value rows and every ring-to-ring triangle has
     Jacobian exactly zero: the Jacobian mass of the result is the
     filler's own.  The filler rim must agree with the mollified profile
-    at the shared angles within interface_tol (relative to the value
+    at the shared angles within INTERFACE_TOL (relative to the value
     scale); a constant-speed polyline filler for a jumpy curve fails
     this and raises RecoveryMismatchError.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    ang, vals = _seam_values(mollify_sequence(curve, k), filler, interface_tol)
+    return _glue(mollify_sequence(curve, k), params, k, filler, mesh_h)
+
+
+def _glue(phi: Curve, params: ExtensionParams, k: int, filler: DiscreteMap,
+          mesh_h: float) -> DiscreteMap:
+    """recovery_sequence with phi, the k-th mollification, already formed."""
+    ang, vals = _seam_values(phi, filler)
 
     s = params.radius / k
     dom_scale = s / filler.mesh.radius
@@ -265,14 +270,14 @@ def strict_convergence_report(
             fjtvs.append(math.nan)
             continue
         try:
-            _seam_values(phi, start, INTERFACE_TOL)
+            _seam_values(phi, start)
         except RecoveryMismatchError:
             fit = minimize_for_profile(phi, options)
         else:
             if base is None:
                 base = _minimize_from(start, options, lower)
             fit = base
-        vk = recovery_sequence(curve, params, k, fit.dmap, mesh_h=options.mesh_h)
+        vk = _glue(phi, params, k, fit.dmap, options.mesh_h)
         areas.append(area_functional(vk))
         jtvs.append(jacobian_tv(vk))
         fjtvs.append(fit.energy)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ClosedPolyline
-from .geometry import cross2
+from .geometry import cross2, polygon_signed_area
 
 
 class PointOnCurveError(ValueError):
@@ -291,14 +291,7 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
             raise ArrangementError("face walk did not close on its start")
         cycles.append(walk)
 
-    areas = []
-    for walk in cycles:
-        terms = [
-            verts[origin[h], 0] * verts[dest[h], 1]
-            - verts[dest[h], 0] * verts[origin[h], 1]
-            for h in walk
-        ]
-        areas.append(0.5 * math.fsum(terms))
+    areas = [polygon_signed_area(verts[origin[walk]]) for walk in cycles]
     if abs(math.fsum(areas)) > 1e-9 * scale * scale:
         raise ArrangementError(f"face areas sum to {math.fsum(areas)!r}, expected 0")
 

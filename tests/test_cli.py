@@ -13,6 +13,17 @@ from bvplateau.curveio import builtin_curve, save_curve
 from bvplateau.homogeneous import ExtensionParams, relaxed_area
 
 
+COMMANDS = {
+    "tv": "variation decomposition of a curve",
+    "complete": "chord-filled completion of a curve",
+    "plateau": "bracket for the least sweeping area of the completed trace",
+    "area": "relaxed graph area of the homogeneous extension",
+    "tangential": "tangential variation of the extension over an annulus",
+    "verify-recovery": "strict-convergence report for the mollified sequence",
+    "slice-check": "circle-slice variation against the tangential variation",
+}
+
+
 def run(tmp_path, *argv):
     out = tmp_path / "out"
     code = main(list(argv) + ["--out", str(out)])
@@ -198,3 +209,36 @@ def test_emit_svg_mesh_for_recovery(tmp_path, monkeypatch):
     assert len(calls) == 1
     assert (out / "mesh.svg").exists()
     assert (out / "curve.svg").exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_reruns_byte_identical(tmp_path, command):
+    outs = (tmp_path / "a", tmp_path / "b")
+    codes = [main([command, "--builtin", "triple", "--mesh-h", "0.3", "--ks", "2",
+                   "--out", str(out)]) for out in outs]
+    assert codes == [0, 0]
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    assert "report.json" in names
+    assert ("report.csv" in names) == (command in ("tv", "complete", "verify-recovery",
+                                                   "slice-check"))
+    for name in names:
+        a, b = ((out / name).read_bytes().replace(str(out).encode(), b"") for out in outs)
+        assert a == b
+
+
+def test_unknown_command_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--builtin", "triple", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, help_text in COMMANDS.items():
+        assert f" {name} {help_text} " in text + " "

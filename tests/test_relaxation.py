@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bvplateau import relaxation
 from bvplateau.curveio import builtin_curve, constant_curve
 from bvplateau.curves import evaluate_many, mollify_sequence, total_variation
 from bvplateau.homogeneous import ExtensionParams
@@ -242,6 +243,23 @@ def test_report_triple_with_meshes_uses_matched_fillers():
     assert rep.jacobian_matched is True
     assert all(f == pytest.approx(math.sqrt(3) / 4, abs=0.12) for f in rep.filler_jacobian_tv)
     assert all(np.isfinite(rep.area_values))
+
+
+def test_report_mollifies_each_k_once(monkeypatch):
+    real = relaxation.mollify_sequence
+    calls = []
+
+    def counting(curve, k):
+        calls.append(k)
+        return real(curve, k)
+
+    monkeypatch.setattr(relaxation, "mollify_sequence", counting)
+    ks = (2, 4, 8)
+    rep = strict_convergence_report(builtin_curve("triple"), ExtensionParams(), ks=ks,
+                                    options=PlateauOptions(mesh_h=0.3, n_completion=128))
+    assert rep.jacobian_matched is True
+    # the gluing reuses the report's own mollified profile
+    assert calls == list(ks)
 
 
 # ---------------------------------------------------------------- slicing

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from test_plateau import star_polygons
 
 from bvplateau import ClosedPolyline, completed_curve
 from bvplateau.curveio import builtin_curve
@@ -148,6 +150,25 @@ def test_quarter_turn_exact(poly):
 def test_dyadic_dilation_exact(poly):
     scaled = ClosedPolyline(2.0 * poly.vertices)
     assert winding_area(scaled) == 4.0 * winding_area(poly)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(star_polygons().map(lambda poly: np.round(16.0 * poly.vertices[:-1])))
+def test_simple_integer_polygon_cyclic_shift_and_reversal_exact(v):
+    nxt = np.roll(v, -1, axis=0)
+    c = np.round(np.mean(v, axis=0))
+    a, b = v - c, nxt - c
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    # every edge turns strictly counterclockwise about c, once around in total:
+    # the polygon is star-shaped about c, hence simple (no cut points)
+    turns = np.sum(np.arctan2(cross, np.sum(a * b, axis=1))) / (2 * math.pi)
+    assume(np.all(cross > 0) and round(turns) == 1)
+    shoelace = 0.5 * abs(math.fsum((v[:, 0] * nxt[:, 1] - v[:, 1] * nxt[:, 0]).tolist()))
+    area = winding_area(ClosedPolyline(v))
+    assert area == shoelace
+    for s in range(1, len(v)):
+        assert winding_area(ClosedPolyline(np.roll(v, s, axis=0))) == area
+    assert winding_area(ClosedPolyline(v[::-1])) == area
 
 
 def test_general_rigid_motion():
