@@ -158,13 +158,14 @@ def recovery_sequence(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    return _glue(mollify_sequence(curve, k), params, k, filler, mesh_h)
+    phi = mollify_sequence(curve, k)
+    return _glue(params, k, filler, _seam_values(phi, filler), mesh_h)
 
 
-def _glue(phi: Curve, params: ExtensionParams, k: int, filler: DiscreteMap,
-          mesh_h: float) -> DiscreteMap:
-    """recovery_sequence with phi, the k-th mollification, already formed."""
-    ang, vals = _seam_values(phi, filler)
+def _glue(params: ExtensionParams, k: int, filler: DiscreteMap, seam, mesh_h: float) -> DiscreteMap:
+    """The gluing of recovery_sequence, given seam = _seam_values(phi, filler)
+    for phi, the k-th mollification."""
+    ang, vals = seam
 
     s = params.radius / k
     dom_scale = s / filler.mesh.radius
@@ -270,14 +271,16 @@ def strict_convergence_report(
             fjtvs.append(math.nan)
             continue
         try:
-            _seam_values(phi, start)
+            seam = _seam_values(phi, start)
         except RecoveryMismatchError:
             fit = minimize_for_profile(phi, options)
+            seam = _seam_values(phi, fit.dmap)
         else:
+            # the minimiser keeps the start's mesh and pinned rim: same seam
             if base is None:
                 base = _minimize_from(start, options, lower)
             fit = base
-        vk = _glue(phi, params, k, fit.dmap, options.mesh_h)
+        vk = _glue(params, k, fit.dmap, seam, options.mesh_h)
         areas.append(area_functional(vk))
         jtvs.append(jacobian_tv(vk))
         fjtvs.append(fit.energy)

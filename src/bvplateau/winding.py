@@ -8,6 +8,11 @@ winding numbers from the unbounded face across edges.  Face areas come
 from compensated shoelace sums, so polygons with exactly representable
 vertices get exactly representable areas.
 
+Only segment pairs whose slightly inflated bounding boxes overlap are
+tested for intersection.  The inflation provably covers every pair the
+exact intersection test can accept (see _candidate_pairs), so the cuts,
+and hence the areas, are those of the all-pairs test.
+
 A Monte Carlo cross-check on a jittered stratified grid is provided as an
 independent estimator with a standard error.
 """
@@ -207,7 +212,68 @@ def _pair_cuts(a0, a1, b0, b1, eps):
     return out
 
 
+# rows of the pair filter compared at once; its masks hold this many times
+# the segment count
+_BLOCK_ROWS = 256
+
+
+def _candidate_pairs(segs: np.ndarray, eps: float) -> np.ndarray:
+    """(k, 2) array of the index pairs i < j, in row-major order, whose
+    bounding boxes overlap once box i is inflated by 4*eps + 1e-2*|seg i|
+    on every side (and box j likewise).
+
+    Every pair for which _pair_cuts(..., eps) returns a cut is among them.
+    With r = a1 - a0, s = b1 - b0, d = b0 - a0, L = |r| + |s| and c = 2**-53
+    the unit roundoff, a computed cross product x X y is off by less than
+    6c |x||y|:
+
+    - Crossing branch, |r X s| > 1e-12 |r||s|.  An accepted t lies in
+      [-eps/|r|, 1 + eps/|r|], so a0 + t r is within eps of segment a, and
+      b0 + u s within eps of segment b.  The denominator's relative error
+      is below 6c / 1e-12 < 7e-4 (the nearly parallel worst case) and the
+      numerator's error over it below 7e-4 |d|/|r|, so a0 + t r is less
+      than 7e-4 (|d| + |r|) from the exact line intersection P; likewise
+      b0 + u s.  Both computed points being near P gives |d| < 1.01 L + 3 eps,
+      so the distances from P to the two segments sum to less than
+      2.01 eps + 2.2e-3 L.
+    - Parallel branch.  b0 is within eps + 6c|d| of the line of a, b1 within
+      eps + 1.01e-12 |s| + 6c|d|, and some point of b projects into a, so
+      the segments come within eps + 1.01e-12 |s| + 1e-15 L of each other.
+
+    The two boxes' margins sum to 8 eps + 1e-2 L, over three times either
+    bound.  Adding a margin to a coordinate rounds away at most about one
+    of its ulps, and two distinct coordinates are at least that far apart,
+    so the spare factor also covers the rounding of lo and hi.  Masks are
+    formed _BLOCK_ROWS rows at a time: memory is O(_BLOCK_ROWS * m) for m
+    segments.
+    """
+    margin = (4.0 * eps + 1e-2 * np.hypot(*(segs[:, 1] - segs[:, 0]).T))[:, None]
+    lo = np.minimum(segs[:, 0], segs[:, 1]) - margin
+    hi = np.maximum(segs[:, 0], segs[:, 1]) + margin
+    m = len(segs)
+    blocks = [np.empty((0, 2), dtype=np.intp)]
+    for start in range(0, m, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, m))
+        # columns from start on; the upper triangle keeps j > i
+        overlap = np.all(
+            (lo[rows, None] <= hi[None, start:]) & (lo[None, start:] <= hi[rows, None]), axis=2
+        )
+        i, j = np.nonzero(np.triu(overlap, 1))
+        blocks.append(np.stack([i, j], axis=1) + start)
+    return np.concatenate(blocks)
+
+
 def build_arrangement(poly: ClosedPolyline) -> Arrangement:
+    """Planar subdivision induced by poly, with the winding number of
+    every face.
+
+    Segments are split at the cuts _pair_cuts finds with tolerance
+    eps = 1e-12 * scale; only pairs from _candidate_pairs, whose inflated
+    bounding boxes overlap, are tested.  Its margin, 4 eps + 1e-2 times
+    the segment length per box, covers everything _pair_cuts accepts,
+    rounding included, so the cuts are those of the all-pairs test and
+    areas are reproduced bit for bit.
+    """
     segs = _segments(poly)
     if len(segs) == 0:
         return Arrangement(poly.vertices[:1].copy(), ())
@@ -215,11 +281,10 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
     eps = 1e-12 * scale
 
     cuts: list[list[float]] = [[0.0, 1.0] for _ in segs]
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            for t, u in _pair_cuts(segs[i, 0], segs[i, 1], segs[j, 0], segs[j, 1], eps):
-                cuts[i].append(t)
-                cuts[j].append(u)
+    for i, j in _candidate_pairs(segs, eps).tolist():
+        for t, u in _pair_cuts(segs[i, 0], segs[i, 1], segs[j, 0], segs[j, 1], eps):
+            cuts[i].append(t)
+            cuts[j].append(u)
 
     snap = _Snapper(eps)
     dir_count: dict[tuple[int, int], int] = {}

@@ -262,6 +262,25 @@ def test_report_mollifies_each_k_once(monkeypatch):
     assert calls == list(ks)
 
 
+@pytest.mark.parametrize("name, checks", [("vortex", 3), ("triple", 6)])
+def test_report_checks_each_seam_once(monkeypatch, name, checks):
+    real = relaxation._seam_values
+    calls = []
+
+    def counting(phi, filler):
+        calls.append(filler)
+        return real(phi, filler)
+
+    monkeypatch.setattr(relaxation, "_seam_values", counting)
+    rep = strict_convergence_report(builtin_curve(name), ExtensionParams(), ks=(2, 4, 8),
+                                    options=PlateauOptions(mesh_h=0.3, n_completion=128))
+    assert rep.jacobian_matched is True
+    # vortex: the radial start's check serves the constant-speed filler for
+    # every k; triple: each start check fails, and each profile filler is
+    # checked once more
+    assert len(calls) == checks
+
+
 # ---------------------------------------------------------------- slicing
 
 

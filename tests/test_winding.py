@@ -10,13 +10,18 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_plateau import star_polygons
 
-from bvplateau import ClosedPolyline, completed_curve
-from bvplateau.curveio import builtin_curve
+from bvplateau import ClosedPolyline, completed_curve, winding
+from bvplateau.curveio import BUILTIN_NAMES, builtin_curve
 from bvplateau.winding import (
     ArrangementError,
     PointOnCurveError,
+    _candidate_pairs,
+    _pair_cuts,
+    _poly_scale,
+    _segments,
     build_arrangement,
     distance_to_curve,
     winding_area,
@@ -50,6 +55,56 @@ DOUBLE_SQUARE = ClosedPolyline(
 SLIT_SQUARE = ClosedPolyline(
     np.array([[0, 0], [2, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
 )
+
+# integer 3- to 8-gons with vertices in [-8, 8]; repeated vertices and
+# self-intersections included
+integer_polygons = st.lists(
+    st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=3, max_size=8
+).map(lambda pts: np.array(pts, dtype=float))
+
+
+@st.composite
+def near_degenerate_polylines(draw):
+    """Polylines grown from an integer vertex, each next vertex either
+    integer or made from an earlier edge p -> q: a repeated vertex, a point
+    on the edge (T-junctions and vertex-on-edge touches), a point on its
+    line beyond it (collinear overlaps), a point a few 1e-12 |q - p| off
+    its line, a step turned about 1e-12 rad from it (the _pair_cuts
+    parallel threshold), or such a step started just past q: there
+    rounding lets _pair_cuts accept pairs whose boxes are up to about 1e-4
+    of their length apart.  Then scaled and translated, so that
+    collinearity holds only up to rounding."""
+    ints = st.integers(-8, 8)
+    v = [np.array([draw(ints), draw(ints)], dtype=float)]
+    for _ in range(draw(st.integers(2, 9))):
+        kind = draw(st.sampled_from(
+            ["point", "repeat", "on_edge", "on_line", "off_line", "turned", "past_end"]
+        ))
+        if kind == "point" or len(v) < 2:
+            v.append(np.array([draw(ints), draw(ints)], dtype=float))
+            continue
+        if kind == "repeat":
+            v.append(v[-1])
+            continue
+        k = draw(st.integers(0, len(v) - 2))
+        p, w = v[k], v[k + 1] - v[k]
+        normal = np.array([-w[1], w[0]])
+        if kind == "on_edge":
+            v.append(p + draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])) * w)
+        elif kind == "on_line":
+            v.append(p + draw(st.sampled_from([-1.0, -0.5, 1.5, 2.0])) * w)
+        elif kind == "off_line":
+            lam = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+            v.append(p + lam * w + draw(st.floats(-4e-12, 4e-12)) * normal)
+        else:
+            a = draw(st.floats(0.25e-12, 4e-12)) * draw(st.sampled_from([-1.0, 1.0]))
+            turned = math.cos(a) * w + math.sin(a) * normal
+            if kind == "past_end":
+                v.append(p + (1.0 + 10.0 ** draw(st.floats(-9.0, -4.0))) * w)
+            v.append(v[-1] + draw(st.sampled_from([-1.0, 0.5, 1.0, 2.0])) * turned)
+    scale = draw(st.sampled_from([1.0, 2.0**-20, 1e-3, 37.5, 1e6]))
+    shift = draw(st.sampled_from([0.0, 0.1, 1e3, 1e6]))
+    return ClosedPolyline(scale * np.array(v) + shift)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +147,21 @@ def test_figure_eight_polygon():
 def test_figure_eight_builtin_completed():
     poly = completed_curve(builtin_curve("figure-eight"), 64)
     assert abs(winding_area(poly) - 2.0) < 1e-12
+
+
+# winding areas of the completions computed by testing every segment pair
+FROZEN_AREAS = {
+    512: {"vortex": 3.14151349222452, "triple": 0.43301270189221946,
+          "cantor-arc": 0.28539369992267455, "figure-eight": 2.0},
+    1024: {"vortex": 3.1415729018083027, "triple": 0.43301270189221897,
+           "cantor-arc": 0.2853970475273278, "figure-eight": 2.0},
+}
+
+
+@pytest.mark.parametrize("n", sorted(FROZEN_AREAS))
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_completion_frozen_area(name, n):
+    assert winding_area(completed_curve(builtin_curve(name), n)) == FROZEN_AREAS[n][name]
 
 
 def test_slit_square():
@@ -171,6 +241,20 @@ def test_simple_integer_polygon_cyclic_shift_and_reversal_exact(v):
     assert winding_area(ClosedPolyline(v[::-1])) == area
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_polygons)
+def test_integer_polygon_quarter_turn_exact(v):
+    # winding_area raising ArrangementError fails the property too
+    rot = np.stack([-v[:, 1], v[:, 0]], axis=-1)
+    assert winding_area(ClosedPolyline(rot)) == winding_area(ClosedPolyline(v))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_polygons, st.integers(1, 4))
+def test_integer_polygon_dyadic_dilation_exact(v, k):
+    assert winding_area(ClosedPolyline(2.0**k * v)) == 4.0**k * winding_area(ClosedPolyline(v))
+
+
 def test_general_rigid_motion():
     rng = np.random.default_rng(3)
     base = winding_area(BOWTIE)
@@ -186,6 +270,56 @@ def test_general_dilation():
     for c in (0.3, 1.7, 11.0):
         scaled = ClosedPolyline(c * BOWTIE.vertices)
         assert winding_area(scaled) == pytest.approx(c * c * 2.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# candidate filter
+
+
+def assert_filter_keeps_every_cut(poly):
+    """Every pair _pair_cuts cuts, tested against all pairs, is a candidate;
+    candidates are distinct pairs i < j in row-major order."""
+    segs = _segments(poly)
+    eps = 1e-12 * _poly_scale(poly)
+    pairs = [tuple(p) for p in _candidate_pairs(segs, eps).tolist()]
+    assert pairs == sorted(set(pairs)) and all(i < j for i, j in pairs)
+    kept = set(pairs)
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            if _pair_cuts(segs[i, 0], segs[i, 1], segs[j, 0], segs[j, 1], eps):
+                assert (i, j) in kept, (i, j, segs[i].tolist(), segs[j].tolist())
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_candidate_filter_keeps_builtin_cuts(name, n):
+    assert_filter_keeps_every_cut(completed_curve(builtin_curve(name), n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_polygons)
+def test_candidate_filter_keeps_integer_polygon_cuts(v):
+    assert_filter_keeps_every_cut(ClosedPolyline(v))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(near_degenerate_polylines())
+def test_candidate_filter_keeps_near_degenerate_cuts(poly):
+    assert_filter_keeps_every_cut(poly)
+
+
+def test_arrangement_tests_linearly_many_pairs(monkeypatch):
+    # a work count, not a timing: testing every pair would take m(m-1)/2 calls
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _pair_cuts(*args)
+
+    monkeypatch.setattr(winding, "_pair_cuts", counting)
+    poly = completed_curve(builtin_curve("triple"), 512)
+    winding_area(poly)
+    assert 0 < len(calls) <= 2 * len(_segments(poly))
 
 
 # ---------------------------------------------------------------------------
