@@ -25,13 +25,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import NamedTuple
 
 from .curveio import BUILTIN_NAMES, CurveFormatError, builtin_curve, load_curve
 from .curves import ClosedPolyline, CurveValidationError, completed_curve, total_variation
-from .homogeneous import ExtensionParams, relaxed_area, tangential_variation, total_variation_Du
+from .homogeneous import ExtensionParams, relaxed_area, tangential_variation
 from .plateau import DiscreteMap, PlateauCertificate, PlateauOptions, plateau_value
 from .relaxation import slicing_check, strict_convergence_report
 from .svgout import curve_svg, mesh_svg
@@ -120,7 +121,7 @@ def _cmd_tangential(curve, config):
     params = _extension_params(config)
     return _Result({
         "tangential_variation": tangential_variation(curve, params, config["eps"]),
-        "full_variation": total_variation_Du(curve, params),
+        "full_variation": tangential_variation(curve, params),
     })
 
 
@@ -226,8 +227,8 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _run(args: argparse.Namespace) -> int:
-    if args.radius <= 0.0:
-        raise ValueError("--radius must be positive")
+    if not (math.isfinite(args.radius) and args.radius > 0.0):
+        raise ValueError("--radius must be finite and positive")
     if not 0.0 < args.mesh_h < 1.0:
         raise ValueError("--mesh-h must lie in (0, 1)")
     outdir = args.out if args.out is not None else os.environ.get("BVPLATEAU_OUT", ".")
@@ -249,8 +250,9 @@ def _run(args: argparse.Namespace) -> int:
     }
     result = _COMMANDS[args.command][0](curve, config)
 
+    # allow_nan=False: a non-finite value is an error, never a NaN token
     files = {"report.json": json.dumps({"config": config, **result.report},
-                                       indent=2, sort_keys=True) + "\n"}
+                                       indent=2, sort_keys=True, allow_nan=False) + "\n"}
     if result.rows is not None:
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(result.rows)

@@ -1,4 +1,4 @@
-"""Loading, saving and built-in curves.
+"""Loading, dumping and built-in curves.
 
 Curve files are JSON: {"pieces": [...]} where each piece is either
 
@@ -12,9 +12,6 @@ Curve files are JSON: {"pieces": [...]} where each piece is either
    "cantor": same shape as "ac"}                            # optional
 
   {"type": "jump", "theta": t, "left": [x, y], "right": [x, y]}
-
-Polyline files are CSV with one "x,y" vertex per line ('#' comments
-allowed); the chain is closed implicitly.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ import numpy as np
 from .curves import (
     Arc,
     CircleArcPath,
-    ClosedPolyline,
     CumulativeVariation,
     Curve,
     Jump,
@@ -166,6 +162,7 @@ def _dump_mass(mass: CumulativeVariation):
 
 
 def dump_curve(curve: Curve) -> dict:
+    """Inverse of parse_curve; zero ac and Cantor masses are omitted."""
     pieces = []
     for p in curve.pieces:
         if isinstance(p, Arc):
@@ -192,37 +189,6 @@ def dump_curve(curve: Curve) -> dict:
                 }
             )
     return {"pieces": pieces}
-
-
-def save_curve(curve: Curve, path) -> None:
-    Path(path).write_text(json.dumps(dump_curve(curve), indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# polyline CSV
-
-
-def load_polyline(path) -> ClosedPolyline:
-    rows = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise CurveFormatError(f"{path}:{ln}: expected 'x,y', got {line!r}")
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError as e:
-            raise CurveFormatError(f"{path}:{ln}: {e}") from e
-    if len(rows) < 3:
-        raise CurveFormatError(f"{path}: a closed polyline needs at least 3 vertices")
-    return ClosedPolyline(np.array(rows))
-
-
-def save_polyline(poly: ClosedPolyline, path) -> None:
-    lines = [f"{float(x)!r},{float(y)!r}" for x, y in poly.vertices[:-1]]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -526,36 +526,6 @@ def evaluate_many(curve: Curve, thetas, side: str = "right") -> np.ndarray:
     return out
 
 
-def evaluate(curve: Curve, theta: float, side: str = "right") -> np.ndarray:
-    """One-sided value of the curve at an angle."""
-    return evaluate_many(curve, [theta], side)[0]
-
-
-def variation_to(curve: Curve, theta: float, side: str = "right") -> float:
-    """Cumulative variation on [base, theta]; side "right" includes the
-    atom of a jump sitting exactly at theta."""
-    lay = _layout(curve)
-    u = float(np.atleast_1d(_unwrap(lay, theta, side))[0])
-    total = 0.0
-    pos = lay.base
-    for p in curve.pieces:
-        if isinstance(p, Arc):
-            if pos + p.width <= u:
-                total += p.mass
-            elif pos < u:
-                total += float(p.arclength_at_rel((u - pos) / p.width))
-                break
-            else:
-                break
-            pos += p.width
-        else:
-            if pos < u or (pos == u and side == "right"):
-                total += p.size
-            if pos >= u:
-                break
-    return total
-
-
 # ---------------------------------------------------------------------------
 # closed polylines
 
@@ -651,45 +621,6 @@ def completed_curve(curve: Curve, n_vertices: int = 256) -> ClosedPolyline:
     if np.any(verts[-1] != verts[0]):
         verts.append(verts[0])
     return ClosedPolyline(np.asarray(verts))
-
-
-# ---------------------------------------------------------------------------
-# reparametrisation profile
-
-
-@dataclass(frozen=True, eq=False)
-class ReparamProfile:
-    """Limit arclength profile s(t) = L/(L + 2*pi) * (t + V[0, t]).
-
-    s is strictly increasing off the jump set; each jump at angle t_i opens
-    the gap (s(t_i-), s(t_i+)) of width L/(L + 2*pi) * |jump|.  Angles are
-    measured from the curve's first piece.
-    """
-
-    curve: Curve
-    length: float
-    jump_intervals: tuple[tuple[float, float, float], ...]  # (theta, s_lo, s_hi)
-
-    def __call__(self, theta: float, side: str = "right") -> float:
-        if self.length == 0.0:
-            return 0.0
-        lay = _layout(self.curve)
-        t = float(np.atleast_1d(_unwrap(lay, theta, side))[0]) - lay.base
-        v = variation_to(self.curve, theta, side)
-        return self.length / (self.length + TWO_PI) * (t + v)
-
-
-def reparam_profile(curve: Curve) -> ReparamProfile:
-    L = total_variation(curve).total
-    if L == 0.0:
-        return ReparamProfile(curve, 0.0, ())
-    scale = L / (L + TWO_PI)
-    lay = _layout(curve)
-    intervals = []
-    for pos, j in lay.jump_positions:
-        hi = scale * ((pos - lay.base) + variation_to(curve, j.theta, "right"))
-        intervals.append((j.theta, hi - scale * j.size, hi))
-    return ReparamProfile(curve, L, tuple(intervals))
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Curve, evaluate_many, total_variation
-from .meshing import TriMesh
-from .plateau import PlateauCertificate, PlateauOptions, origin_value, plateau_value
+from .curves import Curve, total_variation
+from .plateau import PlateauCertificate, PlateauOptions, plateau_value
 
 
 @dataclass(frozen=True)
@@ -35,8 +34,8 @@ class ExtensionParams:
     nodes: int = 4096
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise ValueError("radius must be finite and positive")
         if self.nodes < 64:
             raise ValueError("nodes must be at least 64")
 
@@ -87,13 +86,12 @@ def singular_term(curve: Curve, params: ExtensionParams) -> float:
     return params.radius * (dec.jump + dec.cantor)
 
 
-def total_variation_Du(curve: Curve, params: ExtensionParams) -> float:
-    """Mass |Du|(B_R) of the extension's derivative: R * TV(curve)."""
-    return params.radius * total_variation(curve).total
-
-
 def tangential_variation(curve: Curve, params: ExtensionParams, eps: float = 0.0) -> float:
-    """Variation of u along circles, integrated over radii in (eps, R)."""
+    """Variation of u along circles, integrated over radii in (eps, R).
+
+    At eps = 0 this is the whole mass |Du|(B_R) = R * TV(curve): the
+    derivative of a 0-homogeneous map is purely tangential.
+    """
     if not 0.0 <= eps < params.radius:
         raise ValueError("need 0 <= eps < radius")
     return (params.radius - eps) * total_variation(curve).total
@@ -110,19 +108,3 @@ def relaxed_area(
     sing = singular_term(curve, params)
     cert = plateau_value(curve, plateau_options)
     return EnergyReport(graph, sing, cert, graph + sing + cert.lower, graph + sing + cert.upper)
-
-
-def sample_extension(mesh: TriMesh, curve: Curve) -> np.ndarray:
-    """Vertex values of the homogeneous extension on a disk mesh.
-
-    The origin, where the extension has no trace, gets
-    plateau.origin_value, the start value of every profile filler.
-    """
-    v = mesh.vertices
-    r = np.linalg.norm(v, axis=1)
-    ang = np.mod(np.arctan2(v[:, 1], v[:, 0]), 2 * math.pi)
-    vals = evaluate_many(curve, ang)
-    at_origin = r == 0.0
-    if np.any(at_origin):
-        vals[at_origin] = origin_value(curve)
-    return vals

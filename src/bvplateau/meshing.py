@@ -9,7 +9,6 @@ angles (nearby uniform samples are dropped to avoid slivers).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,20 +33,6 @@ class TriMesh:
         mask = np.zeros(self.n_vertices, dtype=bool)
         mask[self.boundary_loop] = True
         return mask
-
-    def triangle_areas(self) -> np.ndarray:
-        return 0.5 * triangle_dets(self.vertices, self.triangles)
-
-    def min_angle_deg(self) -> float:
-        p = self.vertices[self.triangles]
-        angles = []
-        for k in range(3):
-            a = p[:, (k + 1) % 3] - p[:, k]
-            b = p[:, (k + 2) % 3] - p[:, k]
-            num = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-            den = np.sum(a * b, axis=1)
-            angles.append(np.abs(np.arctan2(num, den)))
-        return float(np.degrees(np.min(angles)))
 
 
 def _ring_angles(n: int) -> np.ndarray:

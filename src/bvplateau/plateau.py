@@ -75,6 +75,8 @@ class PlateauOptions:
     def __post_init__(self):
         if not self.delta_schedule:
             raise ValueError("delta_schedule must be nonempty")
+        if not all(math.isfinite(d) and d > 0.0 for d in self.delta_schedule):
+            raise ValueError("every delta must be finite and positive")
 
 
 GAP_RATIO = 1.05

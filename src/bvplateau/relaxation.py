@@ -250,7 +250,7 @@ def strict_convergence_report(
 
     ell = params.radius
     tv_target = ell * total_variation(curve).total
-    poly = completed_curve(curve, 512 if options is None else options.n_completion)
+    poly = completed_curve(curve, (options or PlateauOptions()).n_completion)
     lower = winding_area(poly)
     area_target = graph_area_term(curve, params) + singular_term(curve, params) + lower
 

@@ -28,18 +28,6 @@ from .curves import ClosedPolyline
 from .geometry import cross2, polygon_signed_area
 
 
-class PointOnCurveError(ValueError):
-    """Winding number queried at a point lying on the curve itself."""
-
-    def __init__(self, point, distance: float):
-        self.point = np.asarray(point, dtype=float)
-        self.distance = float(distance)
-        super().__init__(
-            f"point {self.point.tolist()} lies on the curve "
-            f"(distance {self.distance:.3e})"
-        )
-
-
 class ArrangementError(RuntimeError):
     """The induced planar subdivision failed a consistency check."""
 
@@ -91,37 +79,6 @@ def _poly_scale(poly: ClosedPolyline) -> float:
     v = poly.vertices
     ext = v.max(axis=0) - v.min(axis=0)
     return max(1.0, float(ext.max()))
-
-
-def winding_number(poly: ClosedPolyline, point, method: str = "crossing") -> int:
-    """Integer winding of the chain around a point off the curve.
-
-    method "crossing" counts signed horizontal-ray crossings; "angle" sums
-    turned angle.  Both raise PointOnCurveError (carrying the offending
-    distance) when the point lies on the trace.
-    """
-    p = np.asarray(point, dtype=float)
-    tol = 1e-12 * _poly_scale(poly)
-    dist = float(distance_to_curve(poly, p[None])[0])
-    if dist <= tol:
-        raise PointOnCurveError(p, dist)
-    if method == "crossing":
-        return int(winding_number_many(poly, p[None])[0])
-    if method == "angle":
-        segs = _segments(poly)
-        if len(segs) == 0:
-            return 0
-        va = segs[:, 0] - p
-        vb = segs[:, 1] - p
-        ang = np.arctan2(
-            va[:, 0] * vb[:, 1] - va[:, 1] * vb[:, 0], np.sum(va * vb, axis=1)
-        )
-        turns = float(np.sum(ang)) / (2 * math.pi)
-        w = int(round(turns))
-        if abs(turns - w) > 1e-6:
-            raise ArrangementError(f"angle sum {turns!r} is not near an integer")
-        return w
-    raise ValueError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------

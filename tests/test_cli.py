@@ -9,7 +9,7 @@ import pytest
 
 from bvplateau import plateau
 from bvplateau.cli import main
-from bvplateau.curveio import builtin_curve, save_curve
+from bvplateau.curveio import builtin_curve, dump_curve
 from bvplateau.homogeneous import ExtensionParams, relaxed_area
 
 
@@ -46,7 +46,7 @@ def test_tv_triple(tmp_path):
 
 def test_tv_curve_file(tmp_path):
     path = tmp_path / "c.json"
-    save_curve(builtin_curve("vortex"), path)
+    path.write_text(json.dumps(dump_curve(builtin_curve("vortex"))))
     code, _, rep = run(tmp_path, "tv", "--curve", str(path))
     assert code == 0
     assert rep["variation"]["total"] == pytest.approx(2 * math.pi, abs=1e-12)
@@ -157,6 +157,21 @@ def test_exit_2_on_bad_flags(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
     assert main(["plateau", "--builtin", "vortex", "--mesh-h", "1.5",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["area", "--radius", "nan"],
+    ["area", "--radius", "inf"],
+    ["plateau", "--delta-schedule", "nan"],
+    ["plateau", "--delta-schedule", "inf"],
+    ["plateau", "--delta-schedule", "0"],
+    ["plateau", "--delta-schedule", "1e-1,-0.1"],
+    ["tv", "--eps", "nan"],
+])
+def test_exit_2_on_non_finite_or_nonpositive_input(tmp_path, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--builtin", "triple", "--mesh-h", "0.3", "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
 
 
 def test_missing_file_is_exit_2(tmp_path):

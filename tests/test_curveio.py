@@ -1,10 +1,12 @@
-"""Curve file format, polyline CSV, and built-in curve structure."""
+"""Curve file format, its dump/load round trip, and built-in curve structure."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_curves import bv_curves
 
 from bvplateau import evaluate_many, total_variation
 from bvplateau.curveio import (
@@ -13,10 +15,7 @@ from bvplateau.curveio import (
     builtin_curve,
     dump_curve,
     load_curve,
-    load_polyline,
     parse_curve,
-    save_curve,
-    save_polyline,
 )
 
 TWO_PI = 2 * math.pi
@@ -32,7 +31,7 @@ def test_builtin_names():
 def test_roundtrip_preserves_values(name, tmp_path):
     curve = builtin_curve(name)
     path = tmp_path / "curve.json"
-    save_curve(curve, path)
+    path.write_text(json.dumps(dump_curve(curve)))
     back = load_curve(path)
 
     d1, d2 = total_variation(curve), total_variation(back)
@@ -46,8 +45,8 @@ def test_roundtrip_preserves_values(name, tmp_path):
 def test_roundtrip_is_stable_text(tmp_path):
     curve = builtin_curve("triple")
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    save_curve(curve, p1)
-    save_curve(load_curve(p1), p2)
+    p1.write_text(json.dumps(dump_curve(curve)))
+    p2.write_text(json.dumps(dump_curve(load_curve(p1))))
     assert p1.read_text() == p2.read_text()
 
 
@@ -130,28 +129,6 @@ def test_structurally_bad_curve_is_validation_error():
         parse_curve(data)
 
 
-def test_polyline_csv_roundtrip(tmp_path):
-    from bvplateau import ClosedPolyline
-
-    poly = ClosedPolyline(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]]))
-    p = tmp_path / "tri.csv"
-    save_polyline(poly, p)
-    back = load_polyline(p)
-    assert np.array_equal(poly.vertices, back.vertices)
-
-
-def test_polyline_csv_comments_and_errors(tmp_path):
-    p = tmp_path / "poly.csv"
-    p.write_text("# header\n0,0\n1,0  # corner\n0.5,1\n")
-    poly = load_polyline(p)
-    assert len(poly.vertices) == 4  # auto-closed
-
-    p.write_text("0,0\n1\n")
-    with pytest.raises(CurveFormatError) as e:
-        load_polyline(p)
-    assert ":2:" in str(e.value)
-
-
 def test_cantor_samples_known_values():
     from bvplateau.curveio import _cantor_samples
 
@@ -172,3 +149,14 @@ def test_dump_skips_zero_masses():
     assert all("ac" not in p and "cantor" not in p for p in arcs)
     text = json.dumps(d, sort_keys=True)
     assert json.loads(text) == d
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(bv_curves())
+def test_dump_load_roundtrip(curve):
+    back = load_curve(json.loads(json.dumps(dump_curve(curve))))
+    assert dump_curve(back) == dump_curve(curve)
+    assert back.closure_gap == curve.closure_gap
+    thetas = np.linspace(0.0, TWO_PI, 97, endpoint=False)
+    for side in ("left", "right"):
+        assert np.array_equal(evaluate_many(back, thetas, side), evaluate_many(curve, thetas, side))

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bvplateau import (
     Arc,
@@ -22,18 +24,15 @@ from bvplateau import (
     PolylinePath,
     ZERO_MASS,
     completed_curve,
-    evaluate,
     evaluate_many,
     l1_distance,
     linear_mass,
     mollify_sequence,
-    reparam_profile,
     sampled_mass,
     total_variation,
     validate,
-    variation_to,
 )
-from bvplateau.curveio import builtin_curve, constant_curve
+from bvplateau.curveio import _cantor_samples, builtin_curve, constant_curve
 
 TWO_PI = 2 * math.pi
 
@@ -97,20 +96,20 @@ def test_triple_one_sided_values():
     a = np.array([0.0, 0.0])
     b = np.array([1.0, 0.0])
     g = np.array([0.5, math.sqrt(3) / 2])
-    assert np.array_equal(evaluate(curve, math.pi / 3, "left"), a)
-    assert np.array_equal(evaluate(curve, math.pi / 3, "right"), b)
-    assert np.array_equal(evaluate(curve, math.pi, "left"), b)
-    assert np.array_equal(evaluate(curve, math.pi, "right"), g)
-    assert np.array_equal(evaluate(curve, 0.0), a)
-    assert np.array_equal(evaluate(curve, 2.0), b)
-    assert np.array_equal(evaluate(curve, 4.0), g)
+    assert np.array_equal(evaluate_many(curve, [math.pi / 3], "left")[0], a)
+    assert np.array_equal(evaluate_many(curve, [math.pi / 3], "right")[0], b)
+    assert np.array_equal(evaluate_many(curve, [math.pi], "left")[0], b)
+    assert np.array_equal(evaluate_many(curve, [math.pi], "right")[0], g)
+    assert np.array_equal(evaluate_many(curve, [0.0])[0], a)
+    assert np.array_equal(evaluate_many(curve, [2.0])[0], b)
+    assert np.array_equal(evaluate_many(curve, [4.0])[0], g)
 
 
 def test_cantor_arc_midpoint():
     # staircase value at the middle of the interval is exactly 1/2, so the
     # trace sits at arclength pi/4 along the quarter circle
     curve = builtin_curve("cantor-arc")
-    v = evaluate(curve, math.pi)
+    v = evaluate_many(curve, [math.pi])[0]
     expect = np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
     assert np.max(np.abs(v - expect)) < 1e-12
 
@@ -120,22 +119,7 @@ def test_wrap_piece_evaluation():
     curve = builtin_curve("triple")
     a = np.array([0.0, 0.0])
     for theta in (0.0, 0.5, 6.0, 5.9):
-        assert np.array_equal(evaluate(curve, theta), a)
-
-
-def test_variation_to_triple():
-    curve = builtin_curve("triple")
-    assert variation_to(curve, math.pi / 3, "right") == pytest.approx(1.0, abs=1e-12)
-    assert variation_to(curve, 2.0) == pytest.approx(1.0, abs=1e-12)
-    assert variation_to(curve, math.pi, "left") == pytest.approx(1.0, abs=1e-12)
-    assert variation_to(curve, math.pi, "right") == pytest.approx(2.0, abs=1e-12)
-    assert variation_to(curve, 5 * math.pi / 3, "right") == pytest.approx(3.0, abs=1e-12)
-
-
-def test_variation_to_vortex_is_linear():
-    curve = builtin_curve("vortex")
-    for t in (0.3, 1.0, 2.0, 4.5, 6.0):
-        assert variation_to(curve, t) == pytest.approx(t, abs=1e-12)
+        assert np.array_equal(evaluate_many(curve, [theta])[0], a)
 
 
 # ---------------------------------------------------------------------------
@@ -300,47 +284,6 @@ def test_vertex_angles_cover_corners():
 
 
 # ---------------------------------------------------------------------------
-# reparametrisation profile
-
-
-def test_reparam_profile_vortex_is_identity():
-    prof = reparam_profile(builtin_curve("vortex"))
-    assert prof.length == TWO_PI
-    assert prof.jump_intervals == ()
-    for t in (0.0, 1.0, 2.5, 6.0):
-        assert prof(t) == pytest.approx(t, abs=1e-12)
-
-
-def test_reparam_profile_triple_gaps():
-    curve = builtin_curve("triple")
-    prof = reparam_profile(curve)
-    L = prof.length
-    scale = L / (L + TWO_PI)
-    assert abs(L - 3.0) < 1e-12
-    assert len(prof.jump_intervals) == 3
-    widths = [hi - lo for _, lo, hi in prof.jump_intervals]
-    assert all(abs(w - scale * 1.0) < 1e-12 for w in widths)
-    # the profile is flat on arcs: slope there comes from angle only
-    t_mid1 = prof(2.0)
-    t_mid2 = prof(3.0)
-    assert t_mid2 - t_mid1 == pytest.approx(scale * 1.0, abs=1e-12)
-    # one-sided values at a jump bracket its gap interval
-    theta, lo, hi = prof.jump_intervals[1]
-    assert prof(theta, "left") == pytest.approx(lo, abs=1e-12)
-    assert prof(theta, "right") == pytest.approx(hi, abs=1e-12)
-
-
-def test_reparam_profile_monotone_random():
-    rng = np.random.default_rng(7)
-    curve = builtin_curve("triple")
-    prof = reparam_profile(curve)
-    base = math.pi / 3
-    ts = np.sort(rng.uniform(1e-6, TWO_PI - 1e-6, 64))
-    vals = [prof(base + t) for t in ts]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-
-# ---------------------------------------------------------------------------
 # mollification
 
 
@@ -412,6 +355,54 @@ def test_mollify_tv_never_increases_random():
             phi = mollify_sequence(curve, k)
             assert total_variation(phi).total <= tv0 + 1e-9
             assert total_variation(phi).jump == 0.0
+
+
+@st.composite
+def jump_curves(draw):
+    """Piecewise-constant curves: 1 to 6 jumps between integer values in
+    [-8, 8]^2 at random widths.  Half of them are open: the first jump's
+    left value is drawn on its own, so the closing boundary carries a gap."""
+    n = draw(st.integers(1, 6))
+    pt = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+    vals = [np.array(v, dtype=float) for v in draw(st.lists(pt, min_size=n + 1, max_size=n + 1))]
+    lefts = [vals[n] if draw(st.booleans()) else vals[n - 1]] + vals[: n - 1]
+    assume(all(np.any(a != b) for a, b in zip(lefts, vals)))
+    gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    start = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+    angles = start + np.concatenate([[0.0], TWO_PI * np.cumsum(gaps)[:-1] / np.sum(gaps)])
+    pieces = []
+    for i in range(n):
+        t1 = start + TWO_PI if i == n - 1 else float(angles[i + 1])
+        pieces.append(Jump(float(angles[i]), lefts[i], vals[i]))
+        pieces.append(Arc(float(angles[i]), t1, PointPath(vals[i]), ZERO_MASS))
+    return validate(Curve(tuple(pieces)))
+
+
+@st.composite
+def cantor_arcs(draw):
+    """One circle arc over the whole parameter circle, traversed by a
+    Cantor staircase of level 1 to 6, with an optional ac share."""
+    centre = np.array([draw(st.integers(-8, 8)), draw(st.integers(-8, 8))], dtype=float)
+    phi0 = draw(st.floats(-math.pi, math.pi))
+    span = draw(st.floats(0.1, 3 * math.pi)) * draw(st.sampled_from([-1.0, 1.0]))
+    path = CircleArcPath(centre, float(draw(st.integers(1, 4))), phi0, phi0 + span)
+    share = draw(st.sampled_from([0.0, 0.25, 0.5]))
+    ac = linear_mass(share * path.length) if share else ZERO_MASS
+    cantor = sampled_mass(_cantor_samples(draw(st.integers(1, 6))) * (path.length - ac.total))
+    start = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+    return validate(Curve((Arc(start, start + TWO_PI, path, ac, cantor),)))
+
+
+def bv_curves():
+    return st.one_of(jump_curves(), cantor_arcs())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(bv_curves(), st.integers(1, 32))
+def test_mollify_never_raises_tv(curve, k):
+    # the slack of strict_convergence_report's tv_within_target
+    tv = total_variation(curve).total
+    assert total_variation(mollify_sequence(curve, k)).total <= tv + 1e-12 * max(1.0, tv)
 
 
 def test_mollify_requires_positive_k():

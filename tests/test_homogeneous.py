@@ -20,12 +20,11 @@ from bvplateau.homogeneous import (
     graph_area_term,
     radial_integral,
     relaxed_area,
-    sample_extension,
     singular_term,
     tangential_variation,
-    total_variation_Du,
 )
-from bvplateau.plateau import PlateauOptions
+from bvplateau.plateau import PlateauOptions, origin_value
+from bvplateau.relaxation import minimize_for_profile
 
 TWO_PI = 2 * math.pi
 
@@ -73,7 +72,7 @@ def test_triple_terms():
     curve = builtin_curve("triple")
     assert graph_area_term(curve, params) == pytest.approx(math.pi, rel=1e-14)
     assert singular_term(curve, params) == pytest.approx(3.0, abs=1e-12)
-    assert total_variation_Du(curve, params) == pytest.approx(3.0, abs=1e-12)
+    assert tangential_variation(curve, params) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_cantor_arc_terms():
@@ -150,36 +149,34 @@ def test_relaxed_area_triple_structure():
 
 
 def test_sample_extension_values():
-    from bvplateau.meshing import make_disk_mesh
-
-    mesh = make_disk_mesh(1.0, 0.3)
+    # the profile filler, returned unmoved when no step may run, carries
+    # the extension's values: the datum on the rim, the centroid at 0
     curve = builtin_curve("vortex")
-    vals = sample_extension(mesh, curve)
-    r = np.linalg.norm(mesh.vertices, axis=1)
-    on = r > 0
-    ang = np.arctan2(mesh.vertices[on, 1], mesh.vertices[on, 0])
+    dmap = minimize_for_profile(curve, PlateauOptions(mesh_h=0.3, max_iters=0)).dmap
+    v = dmap.mesh.vertices
+    r = np.linalg.norm(v, axis=1)
+    rim = dmap.mesh.boundary_loop
+    ang = np.arctan2(v[rim, 1], v[rim, 0])
     expect = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    assert np.max(np.abs(vals[on] - expect)) < 1e-12
+    assert np.max(np.abs(dmap.values[rim] - expect)) < 1e-12
     # origin takes the centroid, which is near zero for the circle
-    assert np.linalg.norm(vals[~on][0]) < 1e-3
+    assert np.linalg.norm(dmap.values[r == 0.0][0]) < 1e-3
 
 
 def test_origin_value_matches_profile_filler_start():
-    # one value at the origin: the extension sample and the start of the
+    # one value at the origin: plateau.origin_value and the start of the
     # profile filler (returned unmoved when no step may run) agree exactly
-    from bvplateau.relaxation import minimize_for_profile
-
     curve = builtin_curve("cantor-arc")
     fit = minimize_for_profile(curve, PlateauOptions(mesh_h=0.3, max_iters=0))
-    mesh = fit.dmap.mesh
-    origin = np.linalg.norm(mesh.vertices, axis=1) == 0.0
+    origin = np.linalg.norm(fit.dmap.mesh.vertices, axis=1) == 0.0
     assert np.count_nonzero(origin) == 1
-    assert np.array_equal(sample_extension(mesh, curve)[origin], fit.dmap.values[origin])
+    assert np.array_equal(fit.dmap.values[origin][0], origin_value(curve))
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ExtensionParams(radius=0.0)
+    for radius in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ExtensionParams(radius=radius)
     with pytest.raises(ValueError):
         ExtensionParams(nodes=32)
     with pytest.raises(ValueError):

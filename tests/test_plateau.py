@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from bvplateau import ClosedPolyline, completed_curve
 from bvplateau.curveio import builtin_curve, constant_curve
 from bvplateau.curves import evaluate_many, mollify_sequence
+from bvplateau.geometry import triangle_dets
 from bvplateau.meshing import make_disk_mesh
 from bvplateau.plateau import (
     BRACKET_RTOL,
@@ -71,7 +72,7 @@ def test_jacobian_tv_of_identity_is_mesh_area():
     mesh = make_disk_mesh(1.0, 0.2)
     dmap = DiscreteMap(mesh, mesh.vertices.copy())
     assert jacobian_tv(dmap) == pytest.approx(
-        float(np.sum(mesh.triangle_areas())), abs=1e-14
+        float(np.sum(0.5 * triangle_dets(mesh.vertices, mesh.triangles))), abs=1e-14
     )
 
 
@@ -203,3 +204,9 @@ def test_stationary_stop_without_lower_bound():
     assert all(iters < opts.max_iters // 4 for _, iters, _ in result.stages)
     assert result.energy < jacobian_tv(start)
     assert result.energy == jacobian_tv(result.dmap)
+
+
+@pytest.mark.parametrize("schedule", [(), (math.nan,), (math.inf,), (0.0,), (1e-1, -0.1)])
+def test_options_reject_bad_delta_schedule(schedule):
+    with pytest.raises(ValueError):
+        PlateauOptions(delta_schedule=schedule)

@@ -8,6 +8,7 @@ import pytest
 from bvplateau import relaxation
 from bvplateau.curveio import builtin_curve, constant_curve
 from bvplateau.curves import evaluate_many, mollify_sequence, total_variation
+from bvplateau.geometry import triangle_dets
 from bvplateau.homogeneous import ExtensionParams
 from bvplateau.meshing import make_disk_mesh
 from bvplateau.plateau import (
@@ -31,7 +32,7 @@ QUICK = PlateauOptions(mesh_h=0.15, n_completion=128)
 
 
 def mesh_area(mesh):
-    return math.fsum(mesh.triangle_areas().tolist())
+    return math.fsum((0.5 * triangle_dets(mesh.vertices, mesh.triangles)).tolist())
 
 
 # ---------------------------------------------------------------- area functional
@@ -181,7 +182,7 @@ def test_recovery_mesh_is_conforming():
     assert counts <= {1, 2}
     n_boundary_edges = sum(1 for c in edges.values() if c == 1)
     assert n_boundary_edges == len(mesh.boundary_loop)
-    assert np.all(mesh.triangle_areas() > 0.0)
+    assert np.all(triangle_dets(mesh.vertices, mesh.triangles) > 0.0)
 
 
 # ---------------------------------------------------------------- sequence report

@@ -17,7 +17,6 @@ from bvplateau import ClosedPolyline, completed_curve, winding
 from bvplateau.curveio import BUILTIN_NAMES, builtin_curve
 from bvplateau.winding import (
     ArrangementError,
-    PointOnCurveError,
     _candidate_pairs,
     _pair_cuts,
     _poly_scale,
@@ -26,7 +25,6 @@ from bvplateau.winding import (
     distance_to_curve,
     winding_area,
     winding_area_grid,
-    winding_number,
     winding_number_many,
 )
 
@@ -326,24 +324,31 @@ def test_arrangement_tests_linearly_many_pairs(monkeypatch):
 # point queries
 
 
+def _angle_winding(poly: ClosedPolyline, point) -> int:
+    """Independent oracle for the crossing counts: the turned angle of the
+    chain seen from a point off the curve, in whole turns."""
+    p = np.asarray(point, dtype=float)
+    segs = _segments(poly)
+    va = segs[:, 0] - p
+    vb = segs[:, 1] - p
+    ang = np.arctan2(va[:, 0] * vb[:, 1] - va[:, 1] * vb[:, 0], np.sum(va * vb, axis=1))
+    turns = float(np.sum(ang)) / (2 * math.pi)
+    w = round(turns)
+    assert abs(turns - w) <= 1e-6
+    return w
+
+
 def test_winding_number_square():
-    assert winding_number(UNIT_SQUARE, [0.5, 0.5]) == 1
-    assert winding_number(UNIT_SQUARE, [1.5, 0.5]) == 0
-    assert winding_number(UNIT_SQUARE, [0.5, 0.5], method="angle") == 1
+    assert winding_number_many(UNIT_SQUARE, [[0.5, 0.5], [1.5, 0.5]]).tolist() == [1, 0]
+    assert _angle_winding(UNIT_SQUARE, [0.5, 0.5]) == 1
     cw = ClosedPolyline(UNIT_SQUARE.vertices[::-1].copy())
-    assert winding_number(cw, [0.5, 0.5]) == -1
+    assert winding_number_many(cw, [0.5, 0.5]).tolist() == [-1]
 
 
 def test_winding_number_double_wound():
-    assert winding_number(ngon(16, wound=2), [0.0, 0.0]) == 2
-
-
-def test_point_on_curve_raises():
-    with pytest.raises(PointOnCurveError) as e:
-        winding_number(UNIT_SQUARE, [0.5, 0.0])
-    assert e.value.distance <= 1e-12
-    with pytest.raises(PointOnCurveError):
-        winding_number(UNIT_SQUARE, [1.0, 1.0], method="angle")
+    poly = ngon(16, wound=2)
+    assert winding_number_many(poly, [0.0, 0.0]).tolist() == [2]
+    assert _angle_winding(poly, [0.0, 0.0]) == 2
 
 
 def test_distance_to_curve():
@@ -355,14 +360,11 @@ def test_crossing_matches_angle_random():
     rng = np.random.default_rng(11)
     for _ in range(15):
         poly = ClosedPolyline(rng.uniform(-1, 1, (8, 2)))
-        for _ in range(20):
-            p = rng.uniform(-1.2, 1.2, 2)
-            try:
-                wc = winding_number(poly, p, method="crossing")
-                wa = winding_number(poly, p, method="angle")
-            except PointOnCurveError:
-                continue
-            assert wc == wa
+        pts = rng.uniform(-1.2, 1.2, (20, 2))
+        pts = pts[distance_to_curve(poly, pts) > 1e-9]
+        assert winding_number_many(poly, pts).tolist() == [
+            _angle_winding(poly, p) for p in pts
+        ]
 
 
 def test_many_matches_scalar():
