@@ -3,10 +3,12 @@
 Every command reads one curve (from a JSON spec or a named builtin) and
 formats the result of one library operation: no quantity is computed
 here.  The seven commands share one option set, declared once on a
-single parser.  A command reads only the resolved configuration, the
-dict embedded in report.json, and writes nothing: it returns its report
-fields, its report.csv rows, the figure objects it has and its exit
-code.  _run alone writes report.json, report.csv and, under --emit-svg,
+single parser.  _run checks every option, whichever command reads it,
+and builds the ExtensionParams and PlateauOptions once.  A command reads
+only those and the resolved configuration, the dict embedded in
+report.json, and writes nothing: it returns its report fields, its
+report.csv rows, the figure objects it has and its exit code.  _run
+alone writes report.json, report.csv and, under --emit-svg,
 curve.svg (the command's polyline, else the 256-vertex completion) and
 mesh.svg.  Reports are byte-identical across reruns with equal flags.
 
@@ -25,7 +27,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from typing import NamedTuple
@@ -51,14 +52,6 @@ class _Result(NamedTuple):
     code: int = 0
 
 
-def _extension_params(config: dict) -> ExtensionParams:
-    return ExtensionParams(radius=config["radius"], nodes=config["nodes"])
-
-
-def _plateau_options(config: dict) -> PlateauOptions:
-    return PlateauOptions(mesh_h=config["mesh_h"], delta_schedule=tuple(config["delta_schedule"]))
-
-
 def _certificate_json(cert: PlateauCertificate) -> dict:
     return {
         "lower": cert.lower,
@@ -72,7 +65,7 @@ def _certificate_json(cert: PlateauCertificate) -> dict:
     }
 
 
-def _cmd_tv(curve, config):
+def _cmd_tv(curve, config, params, options):
     dec = total_variation(curve)
     return _Result(
         {"variation": {"ac": dec.ac, "jump": dec.jump, "cantor": dec.cantor, "total": dec.total},
@@ -82,7 +75,7 @@ def _cmd_tv(curve, config):
     )
 
 
-def _cmd_complete(curve, config):
+def _cmd_complete(curve, config, params, options):
     poly = completed_curve(curve, 256)
     return _Result(
         {"n_vertices": len(poly.vertices) - 1,  # closing duplicate not counted
@@ -93,8 +86,8 @@ def _cmd_complete(curve, config):
     )
 
 
-def _cmd_plateau(curve, config):
-    cert = plateau_value(curve, _plateau_options(config))
+def _cmd_plateau(curve, config, params, options):
+    cert = plateau_value(curve, options)
     grid = winding_area_grid(cert.poly, resolution=64, seed=config["seed"])
     return _Result(
         {"plateau": _certificate_json(cert),
@@ -104,8 +97,8 @@ def _cmd_plateau(curve, config):
     )
 
 
-def _cmd_area(curve, config):
-    rep = relaxed_area(curve, _extension_params(config), _plateau_options(config))
+def _cmd_area(curve, config, params, options):
+    rep = relaxed_area(curve, params, options)
     return _Result(
         {"graph_area": rep.graph_area,
          "singular": rep.singular,
@@ -117,21 +110,19 @@ def _cmd_area(curve, config):
     )
 
 
-def _cmd_tangential(curve, config):
-    params = _extension_params(config)
+def _cmd_tangential(curve, config, params, options):
     return _Result({
         "tangential_variation": tangential_variation(curve, params, config["eps"]),
         "full_variation": tangential_variation(curve, params),
     })
 
 
-def _cmd_verify_recovery(curve, config):
-    rep = strict_convergence_report(curve, _extension_params(config), tuple(config["ks"]),
-                                    _plateau_options(config))
+def _cmd_verify_recovery(curve, config, params, options):
+    rep = strict_convergence_report(curve, params, tuple(config["ks"]), options)
     columns = (rep.k_values, rep.l1_errors, rep.tv_values, rep.area_values,
                rep.jacobian_tv_values, rep.filler_jacobian_tv)
     ok = (rep.l1_nonincreasing and rep.tv_nondecreasing and rep.tv_within_target
-          and rep.jacobian_matched is not False)
+          and rep.jacobian_matched)
     return _Result(
         {"k_values": list(rep.k_values),
          "l1_errors": list(rep.l1_errors),
@@ -152,9 +143,8 @@ def _cmd_verify_recovery(curve, config):
     )
 
 
-def _cmd_slice_check(curve, config):
-    rep = slicing_check(curve, _extension_params(config), eps=config["eps"],
-                        n_radii=config["n_radii"])
+def _cmd_slice_check(curve, config, params, options):
+    rep = slicing_check(curve, params, eps=config["eps"], n_radii=config["n_radii"])
     return _Result(
         {"circle_tv": rep.circle_tv, "estimate": rep.estimate, "exact": rep.exact,
          "rel_error": rep.rel_error},
@@ -227,10 +217,19 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _run(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.radius) and args.radius > 0.0):
-        raise ValueError("--radius must be finite and positive")
-    if not 0.0 < args.mesh_h < 1.0:
-        raise ValueError("--mesh-h must lie in (0, 1)")
+    # every option is checked whichever command reads it, before any output
+    delta_schedule = _parse_floats(args.delta_schedule, "--delta-schedule")
+    ks = _parse_ints(args.ks, "--ks")
+    params = ExtensionParams(radius=args.radius, nodes=args.nodes)
+    options = PlateauOptions(mesh_h=args.mesh_h, delta_schedule=delta_schedule)
+    if not 0.0 <= args.eps < args.radius:
+        raise ValueError("--eps must satisfy 0 <= eps < radius")
+    if not ks or ks[0] < 2 or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("--ks must be nonempty, strictly increasing and >= 2")
+    if args.n_radii < 1:
+        raise ValueError("--n-radii must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     outdir = args.out if args.out is not None else os.environ.get("BVPLATEAU_OUT", ".")
     os.makedirs(outdir, exist_ok=True)
     curve = builtin_curve(args.builtin) if args.builtin else load_curve(args.curve)
@@ -240,15 +239,15 @@ def _run(args: argparse.Namespace) -> int:
         "radius": args.radius,
         "mesh_h": args.mesh_h,
         "nodes": args.nodes,
-        "delta_schedule": list(_parse_floats(args.delta_schedule, "--delta-schedule")),
+        "delta_schedule": list(delta_schedule),
         "out": outdir,
         "emit_svg": args.emit_svg,
         "seed": args.seed,
         "eps": args.eps,
-        "ks": list(_parse_ints(args.ks, "--ks")),
+        "ks": list(ks),
         "n_radii": args.n_radii,
     }
-    result = _COMMANDS[args.command][0](curve, config)
+    result = _COMMANDS[args.command][0](curve, config, params, options)
 
     # allow_nan=False: a non-finite value is an error, never a NaN token
     files = {"report.json": json.dumps({"config": config, **result.report},

@@ -18,11 +18,13 @@ E0 is minimised through the smoothed energies
 sum_T area_T sqrt(J_T**2 + delta**2)) with a decreasing delta schedule,
 Barzilai-Borwein steps and Armijo backtracking.
 
-Every iterate pins the rim, so each one's E0 is a valid upper bound.
-The minimiser checks E0 at the start point and after every accepted
-step and returns the best iterate seen, not the last one; its
-jacobian_tv is the reported upper end.  Each delta-stage ends on the
-first of:
+jacobian_tv_minimize(mesh, start, options, lower) descends from the
+start values and keeps their rim, so every iterate's E0 is a valid upper
+bound.  plateau_value starts it from the radial map whose rim traverses
+the completed datum at constant speed.  The minimiser checks E0 at the
+start point and after every accepted step and returns the best iterate
+seen, not the last one; its jacobian_tv is the reported upper end.
+Each delta-stage ends on the first of:
 
 - bracket_closed: best E0 - lower <= BRACKET_RTOL * max(lower, scale**2),
   with lower the winding area of the rim trace and scale the largest
@@ -70,9 +72,10 @@ class PlateauOptions:
     delta_schedule: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
     max_iters: int = 20000
     grad_tol: float = 1e-8
-    n_completion: int = 512
 
     def __post_init__(self):
+        if not 0.0 < self.mesh_h < 1.0:
+            raise ValueError("mesh_h must lie in (0, 1)")
         if not self.delta_schedule:
             raise ValueError("delta_schedule must be nonempty")
         if not all(math.isfinite(d) and d > 0.0 for d in self.delta_schedule):
@@ -86,8 +89,9 @@ BRACKET_RTOL = 1e-12
 STALL_WINDOW = 100
 STALL_RTOL = 1e-4
 
-# completion resolution of the value at the origin (see origin_value)
-ORIGIN_VERTICES = 512
+# vertices of the chord-filled completion behind the bracket, the recovery
+# fillers and the value at the origin
+COMPLETION_VERTICES = 512
 
 
 @dataclass(frozen=True)
@@ -173,29 +177,29 @@ def _stalled(history: list[float]) -> bool:
 
 def jacobian_tv_minimize(
     mesh: TriMesh,
-    boundary_values: np.ndarray,
+    start: np.ndarray,
     options: PlateauOptions = PlateauOptions(),
-    init: np.ndarray | None = None,
     lower: float | None = None,
 ) -> MinimizeResult:
-    """Descend E_delta over interior vertex values along the delta schedule
-    and return the iterate of least E0 seen.
+    """Descend E_delta over interior vertex values from start, one value
+    row per mesh vertex, along the delta schedule and return the iterate
+    of least E0 seen.
 
-    Boundary vertices are pinned to boundary_values throughout, so every
-    iterate is admissible and its E0 is a valid upper bound.  lower is a
-    lower bound for E0 over admissible maps (the winding area of the rim
-    trace); without it the bracket rule never fires.
+    Boundary vertices keep their start values throughout, so every
+    iterate is admissible and its E0 is a valid upper bound.  start is
+    neither written nor kept.  lower is a lower bound for E0 over
+    admissible maps (the winding area of the rim trace); without it the
+    bracket rule never fires.
     """
     tris = mesh.triangles
     det_s = triangle_dets(mesh.vertices, tris)
 
     free = ~mesh.boundary_mask()
-    values = init.copy() if init is not None else np.zeros((mesh.n_vertices, 2))
-    values[mesh.boundary_loop] = boundary_values
+    values = start.copy()
     if lower is None:
         target = -math.inf
     else:
-        scale = float(np.max(np.linalg.norm(boundary_values, axis=1)))
+        scale = float(np.max(np.linalg.norm(start[mesh.boundary_loop], axis=1)))
         target = lower + BRACKET_RTOL * max(lower, scale * scale)
 
     # iterates are replaced, never written in place, so best can alias one
@@ -272,16 +276,10 @@ def jacobian_tv_minimize(
     )
 
 
-def _as_polyline(datum: Curve | ClosedPolyline, options: PlateauOptions) -> ClosedPolyline:
-    if isinstance(datum, Curve):
-        return completed_curve(datum, options.n_completion)
-    return datum
-
-
 def origin_value(curve: Curve) -> np.ndarray:
     """Value given to the homogeneous extension of curve at the origin: the
-    arclength centroid of its completion with ORIGIN_VERTICES vertices."""
-    return arclength_centroid(completed_curve(curve, ORIGIN_VERTICES))
+    arclength centroid of its completion with COMPLETION_VERTICES vertices."""
+    return arclength_centroid(completed_curve(curve, COMPLETION_VERTICES))
 
 
 def _radial_start(value_at, corner_angles, centroid, mesh_h: float) -> DiscreteMap:
@@ -303,33 +301,21 @@ def _datum_start(poly: ClosedPolyline, mesh_h: float) -> DiscreteMap:
     return _radial_start(poly.point_at, poly.vertex_angles(), arclength_centroid(poly), mesh_h)
 
 
-def _minimize_from(start: DiscreteMap, options: PlateauOptions, lower: float | None) -> MinimizeResult:
-    mesh = start.mesh
-    return jacobian_tv_minimize(mesh, start.values[mesh.boundary_loop], options, start.values, lower)
-
-
-def minimize_for_datum(
-    datum: Curve | ClosedPolyline,
-    options: PlateauOptions = PlateauOptions(),
-    lower: float | None = None,
-) -> MinimizeResult:
-    """Minimise from the radial start with the rim traversing the completed
-    polyline at constant speed.  lower, when given, is the winding area of
-    that polyline and lets the minimiser stop once the bracket closes."""
-    return _minimize_from(_datum_start(_as_polyline(datum, options), options.mesh_h), options, lower)
-
-
 def plateau_value(
     datum: Curve | ClosedPolyline, options: PlateauOptions = PlateauOptions()
 ) -> PlateauCertificate:
     """Bracket the least sweeping area of a boundary curve.
 
-    Curves are completed to their chord-filled polyline first.  The mesh
-    always lives on the unit disk: the bracket depends on the datum only.
+    Curves are completed to their chord-filled polyline with
+    COMPLETION_VERTICES vertices first.  The upper end minimises from the
+    radial start whose rim traverses that polyline at constant speed.  The
+    mesh always lives on the unit disk: the bracket depends on the datum
+    only.
     """
-    poly = _as_polyline(datum, options)
+    poly = completed_curve(datum, COMPLETION_VERTICES) if isinstance(datum, Curve) else datum
     lower = winding_area(poly)
-    result = minimize_for_datum(poly, options, lower)
+    start = _datum_start(poly, options.mesh_h)
+    result = jacobian_tv_minimize(start.mesh, start.values, options, lower)
     upper = result.energy
     gap = upper > GAP_RATIO * lower + 1e-9
     return PlateauCertificate(

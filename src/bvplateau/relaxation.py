@@ -30,29 +30,17 @@ from .geometry import TWO_PI
 from .homogeneous import ExtensionParams, graph_area_term, singular_term, tangential_variation
 from .meshing import TriMesh
 from .plateau import (
+    COMPLETION_VERTICES,
     DiscreteMap,
     MinimizeResult,
     PlateauOptions,
     _datum_start,
-    _minimize_from,
     _radial_start,
     jacobian_tv,
+    jacobian_tv_minimize,
     origin_value,
 )
 from .winding import winding_area
-
-
-class RecoveryMismatchError(ValueError):
-    """Filler rim values do not match the mollified profile at the seam."""
-
-    def __init__(self, mismatch: float, tol: float):
-        self.mismatch = mismatch
-        self.tol = tol
-        super().__init__(
-            f"filler rim deviates from the mollified profile by {mismatch:.3e} "
-            f"(tolerance {tol:.3e}); use minimize_for_profile on the mollified "
-            "curve when the datum parametrization differs from the angle profile"
-        )
 
 
 def area_functional(dmap: DiscreteMap) -> float:
@@ -94,8 +82,8 @@ def minimize_for_profile(
 ) -> MinimizeResult:
     """Minimise the Jacobian mass with rim values read off the curve by angle.
 
-    Unlike minimize_for_datum, which traverses the completed polyline at
-    constant speed, the rim vertex at angle theta is pinned to the curve
+    Unlike the filler of plateau_value, whose rim traverses the completed
+    polyline at constant speed, the rim vertex at angle theta is pinned to the curve
     value at theta.  This is the datum matching a homogeneous extension,
     and the one a recovery gluing needs.  The lower end of the bracket is
     the winding area of the rim polygon.
@@ -104,7 +92,7 @@ def minimize_for_profile(
     start = _radial_start(lambda ang: evaluate_many(curve, ang), extras, origin_value(curve),
                           options.mesh_h)
     rim = ClosedPolyline(start.values[start.mesh.boundary_loop])
-    return _minimize_from(start, options, winding_area(rim))
+    return jacobian_tv_minimize(start.mesh, start.values, options, winding_area(rim))
 
 
 # ring-gap grading toward the gluing circle: four shrinking steps, then uniform
@@ -125,46 +113,29 @@ INTERFACE_TOL = 1e-3
 
 
 def _seam_values(phi: Curve, filler: DiscreteMap):
-    """Rim angles of filler and the values of phi there; raises
-    RecoveryMismatchError when the filler's pinned rim deviates from them
-    by more than INTERFACE_TOL relative to the value scale."""
+    """Rim angles of filler and the values of phi there, or None when the
+    filler's pinned rim deviates from them by more than INTERFACE_TOL
+    relative to the value scale."""
     ang = _rim_angles(filler.mesh)
     vals = evaluate_many(phi, ang)
     scale = max(float(np.max(np.abs(vals))), 1e-12)
     mismatch = float(np.max(np.abs(filler.values[filler.mesh.boundary_loop] - vals)))
     if mismatch > INTERFACE_TOL * scale:
-        raise RecoveryMismatchError(mismatch, INTERFACE_TOL * scale)
+        return None
     return ang, vals
 
 
-def recovery_sequence(
-    curve: Curve,
-    params: ExtensionParams,
-    k: int,
-    filler: DiscreteMap,
-    mesh_h: float = 0.05,
-) -> DiscreteMap:
-    """Glue a rescaled filler into the homogeneous extension of the
-    mollified profile: the filler occupies the disk of radius R/k, the
-    annulus outside carries the k-th mollification evaluated by angle.
+def _glue(params: ExtensionParams, k: int, filler: DiscreteMap, seam, mesh_h: float) -> DiscreteMap:
+    """Glue a rescaled filler into the homogeneous extension of phi, the
+    k-th mollification, given seam = _seam_values(phi, filler): the filler
+    occupies the disk of radius R/k, the annulus outside carries phi
+    evaluated by angle.
 
     All annulus rings share the filler's rim angle grid, so consecutive
     rings repeat the same value rows and every ring-to-ring triangle has
     Jacobian exactly zero: the Jacobian mass of the result is the
-    filler's own.  The filler rim must agree with the mollified profile
-    at the shared angles within INTERFACE_TOL (relative to the value
-    scale); a constant-speed polyline filler for a jumpy curve fails
-    this and raises RecoveryMismatchError.
+    filler's own.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    phi = mollify_sequence(curve, k)
-    return _glue(params, k, filler, _seam_values(phi, filler), mesh_h)
-
-
-def _glue(params: ExtensionParams, k: int, filler: DiscreteMap, seam, mesh_h: float) -> DiscreteMap:
-    """The gluing of recovery_sequence, given seam = _seam_values(phi, filler)
-    for phi, the k-th mollification."""
     ang, vals = seam
 
     s = params.radius / k
@@ -203,9 +174,10 @@ def _glue(params: ExtensionParams, k: int, filler: DiscreteMap, seam, mesh_h: fl
 class SequenceReport:
     """Per-index record of a mollified approximating sequence.
 
-    Mesh columns (area, Jacobian masses) are NaN when no mesh options
-    were supplied; the three-valued flags and recovery_map, the glued
-    map for the last k, are None in that case.
+    jacobian_matched: every glued map's Jacobian mass is its filler's
+    within JACOBIAN_RTOL.  area_converged: the last graph area is within
+    AREA_RTOL of area_target.  recovery_map is the glued map for the
+    last k.
     """
 
     k_values: tuple[int, ...]
@@ -216,25 +188,27 @@ class SequenceReport:
     filler_jacobian_tv: tuple[float, ...]
     tv_target: float
     area_target: float
-    jacobian_rel_tol: float
-    area_rel_tol: float
     l1_nonincreasing: bool
     tv_nondecreasing: bool
     tv_within_target: bool
-    jacobian_matched: bool | None
-    area_converged: bool | None
-    recovery_map: DiscreteMap | None = field(compare=False, repr=False)
+    jacobian_matched: bool
+    area_converged: bool
+    recovery_map: DiscreteMap = field(compare=False, repr=False)
+
+
+JACOBIAN_RTOL = 1e-3
+AREA_RTOL = 0.05
 
 
 def strict_convergence_report(
     curve: Curve,
     params: ExtensionParams = ExtensionParams(),
     ks: tuple[int, ...] = (2, 4, 8, 16, 32),
-    options: PlateauOptions | None = None,
+    options: PlateauOptions = PlateauOptions(),
 ) -> SequenceReport:
-    """Track the mollified sequence toward the curve: L1 disk error and
-    scaled variation for every k, plus graph area and Jacobian mass of
-    the glued recovery maps when mesh options are given.
+    """Track the mollified sequence toward the curve: L1 disk error,
+    scaled variation, and graph area and Jacobian mass of the glued
+    recovery map for every k (each k at least 2).
 
     The constant-speed filler for the completed curve serves every k
     whose mollified profile its rim matches, and is minimised once, only
@@ -243,21 +217,18 @@ def strict_convergence_report(
     the radial start, before any minimisation.
     """
     ks = tuple(int(k) for k in ks)
-    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("ks must be strictly increasing")
-    if min(ks) < 1 or (options is not None and min(ks) < 2):
-        raise ValueError("ks must be >= 1, and >= 2 when recovery maps are built")
+    if not ks or ks[0] < 2 or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("ks must be nonempty, strictly increasing and >= 2")
 
     ell = params.radius
     tv_target = ell * total_variation(curve).total
-    poly = completed_curve(curve, (options or PlateauOptions()).n_completion)
+    poly = completed_curve(curve, COMPLETION_VERTICES)
     lower = winding_area(poly)
     area_target = graph_area_term(curve, params) + singular_term(curve, params) + lower
 
-    start = _datum_start(poly, options.mesh_h) if options is not None else None
+    start = _datum_start(poly, options.mesh_h)
     base = None
 
-    vk = None
     l1s, tvs, areas, jtvs, fjtvs = [], [], [], [], []
     for k in ks:
         phi = mollify_sequence(curve, k)
@@ -265,35 +236,21 @@ def strict_convergence_report(
         # the disk L1 distance reduces to the angular quadrature
         l1s.append(0.5 * ell * ell * l1_distance(curve, phi, params.nodes))
         tvs.append(ell * total_variation(phi).total)
-        if options is None:
-            areas.append(math.nan)
-            jtvs.append(math.nan)
-            fjtvs.append(math.nan)
-            continue
-        try:
-            seam = _seam_values(phi, start)
-        except RecoveryMismatchError:
+        seam = _seam_values(phi, start)
+        if seam is None:
             fit = minimize_for_profile(phi, options)
             seam = _seam_values(phi, fit.dmap)
         else:
             # the minimiser keeps the start's mesh and pinned rim: same seam
             if base is None:
-                base = _minimize_from(start, options, lower)
+                base = jacobian_tv_minimize(start.mesh, start.values, options, lower)
             fit = base
         vk = _glue(params, k, fit.dmap, seam, options.mesh_h)
         areas.append(area_functional(vk))
         jtvs.append(jacobian_tv(vk))
         fjtvs.append(fit.energy)
 
-    jac_tol = 1e-3
-    area_tol = 0.05
     slack = 1e-12 * max(1.0, tv_target)
-    if options is None:
-        jac_ok = None
-        area_ok = None
-    else:
-        jac_ok = all(abs(j - f) <= jac_tol * max(f, 1e-9) for j, f in zip(jtvs, fjtvs))
-        area_ok = abs(areas[-1] - area_target) <= area_tol * max(area_target, 1e-9)
     return SequenceReport(
         ks,
         tuple(l1s),
@@ -303,13 +260,11 @@ def strict_convergence_report(
         tuple(fjtvs),
         tv_target,
         area_target,
-        jac_tol,
-        area_tol,
         all(b - a <= slack for a, b in zip(l1s, l1s[1:])),
         all(b - a >= -slack for a, b in zip(tvs, tvs[1:])),
         all(t <= tv_target + slack for t in tvs),
-        jac_ok,
-        area_ok,
+        all(abs(j - f) <= JACOBIAN_RTOL * max(f, 1e-9) for j, f in zip(jtvs, fjtvs)),
+        abs(areas[-1] - area_target) <= AREA_RTOL * max(area_target, 1e-9),
         vk,
     )
 

@@ -174,6 +174,23 @@ def test_exit_2_on_non_finite_or_nonpositive_input(tmp_path, argv):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["tv", "--nodes", "10"],
+    ["tv", "--delta-schedule", "0"],
+    ["tv", "--eps", "-5"],
+    ["tv", "--ks", ""],
+    ["tv", "--seed", "-1"],
+    ["tv", "--mesh-h", "1.5"],
+    ["complete", "--ks", "4,2"],
+    ["complete", "--ks", "1,2"],
+    ["tangential", "--n-radii", "0"],
+])
+def test_exit_2_on_bad_option_the_command_does_not_read(tmp_path, argv):
+    out = tmp_path / "o"
+    assert main(argv + ["--builtin", "triple", "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
 def test_missing_file_is_exit_2(tmp_path):
     assert main(["tv", "--curve", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2

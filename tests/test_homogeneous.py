@@ -15,7 +15,6 @@ import pytest
 from bvplateau import Arc, Curve, PolylinePath, sampled_mass, validate
 from bvplateau.curveio import builtin_curve, constant_curve
 from bvplateau.homogeneous import (
-    EnergyReport,
     ExtensionParams,
     graph_area_term,
     radial_integral,

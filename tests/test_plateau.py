@@ -20,15 +20,15 @@ from bvplateau.geometry import triangle_dets
 from bvplateau.meshing import make_disk_mesh
 from bvplateau.plateau import (
     BRACKET_RTOL,
+    COMPLETION_VERTICES,
     DiscreteMap,
     PlateauOptions,
     _datum_start,
     _energy_grad,
-    _minimize_from,
     _radial_start,
     arclength_centroid,
     jacobian_tv,
-    minimize_for_datum,
+    jacobian_tv_minimize,
     origin_value,
     plateau_value,
 )
@@ -90,8 +90,8 @@ def test_degree_bound_any_admissible_map():
 
 
 def test_minimize_vortex_quick():
-    result = minimize_for_datum(builtin_curve("vortex"), QUICK)
-    poly = completed_curve(builtin_curve("vortex"), QUICK.n_completion)
+    result = plateau_value(builtin_curve("vortex"), QUICK).result
+    poly = completed_curve(builtin_curve("vortex"), COMPLETION_VERTICES)
     lower = winding_area(poly)
     assert result.converged
     assert result.energy >= lower - 1e-9
@@ -132,7 +132,7 @@ def test_certificate_deterministic():
 
 def test_minimize_respects_boundary():
     poly = completed_curve(builtin_curve("triple"), 64)
-    result = minimize_for_datum(poly, dataclasses.replace(QUICK, mesh_h=0.3))
+    result = plateau_value(poly, dataclasses.replace(QUICK, mesh_h=0.3)).result
     mesh = result.dmap.mesh
     bvals = poly.point_at(rim_angles(mesh))
     assert np.array_equal(result.dmap.values[mesh.boundary_loop], bvals)
@@ -168,6 +168,19 @@ def test_upper_never_above_radial_start(datum):
         assert cert.upper < 0.7 * start
 
 
+def test_minimize_leaves_start_alone():
+    start = _datum_start(C_SHAPE, 0.2)
+    values = start.values
+    before = values.copy()
+    result = jacobian_tv_minimize(start.mesh, values, PlateauOptions(mesh_h=0.2),
+                                  winding_area(C_SHAPE))
+    assert result.iterations > 0
+    assert values.tobytes() == before.tobytes()
+    assert result.dmap.values is not values
+    rim = start.mesh.boundary_loop
+    assert np.array_equal(result.dmap.values[rim], values[rim])
+
+
 @st.composite
 def star_polygons(draw):
     """Polygons star-shaped about a random centre, 3 to 8 vertices."""
@@ -198,7 +211,7 @@ def test_stationary_stop_without_lower_bound():
     opts = PlateauOptions(mesh_h=0.15)
     start = _radial_start(lambda ang: evaluate_many(phi, ang), corners, origin_value(phi),
                           opts.mesh_h)
-    result = _minimize_from(start, opts, None)
+    result = jacobian_tv_minimize(start.mesh, start.values, opts)
     assert result.terminations == ("stationary",) * len(opts.delta_schedule)
     assert result.converged
     assert all(iters < opts.max_iters // 4 for _, iters, _ in result.stages)

@@ -7,28 +7,29 @@ import pytest
 
 from bvplateau import relaxation
 from bvplateau.curveio import builtin_curve, constant_curve
-from bvplateau.curves import evaluate_many, mollify_sequence, total_variation
+from bvplateau.curves import completed_curve, evaluate_many, mollify_sequence
 from bvplateau.geometry import triangle_dets
 from bvplateau.homogeneous import ExtensionParams
 from bvplateau.meshing import make_disk_mesh
 from bvplateau.plateau import (
+    COMPLETION_VERTICES,
     DiscreteMap,
     PlateauOptions,
+    _datum_start,
     jacobian_tv,
-    minimize_for_datum,
+    plateau_value,
 )
 from bvplateau.relaxation import (
-    RecoveryMismatchError,
     _annulus_radii,
     _rim_angles,
+    _seam_values,
     area_functional,
     minimize_for_profile,
-    recovery_sequence,
     slicing_check,
     strict_convergence_report,
 )
 
-QUICK = PlateauOptions(mesh_h=0.15, n_completion=128)
+QUICK = PlateauOptions(mesh_h=0.15)
 
 
 def mesh_area(mesh):
@@ -115,17 +116,14 @@ def test_profile_filler_rim_values_match_curve():
 # ---------------------------------------------------------------- recovery gluing
 
 
-def test_recovery_requires_k_at_least_two():
-    curve = builtin_curve("vortex")
-    filler = minimize_for_datum(curve, QUICK).dmap
-    with pytest.raises(ValueError):
-        recovery_sequence(curve, ExtensionParams(), 1, filler)
+def recovery_map(curve, k, params=ExtensionParams()):
+    return strict_convergence_report(curve, params, ks=(k,), options=QUICK).recovery_map
 
 
 def test_recovery_vortex_keeps_jacobian_mass():
     curve = builtin_curve("vortex")
-    fit = minimize_for_datum(curve, QUICK)
-    vk = recovery_sequence(curve, ExtensionParams(), 4, fit.dmap, mesh_h=0.15)
+    fit = plateau_value(curve, QUICK).result
+    vk = recovery_map(curve, 4)
     assert jacobian_tv(vk) == pytest.approx(fit.energy, rel=1e-3)
     assert vk.mesh.radius == 1.0
     # inner block is the filler scaled by 1/4
@@ -136,23 +134,21 @@ def test_recovery_vortex_keeps_jacobian_mass():
 
 def test_recovery_mismatch_for_constant_speed_filler_on_jumps():
     curve = builtin_curve("triple")
-    filler = minimize_for_datum(curve, QUICK).dmap
-    with pytest.raises(RecoveryMismatchError):
-        recovery_sequence(curve, ExtensionParams(), 8, filler)
+    start = _datum_start(completed_curve(curve, COMPLETION_VERTICES), QUICK.mesh_h)
+    assert _seam_values(mollify_sequence(curve, 8), start) is None
 
 
 def test_recovery_matched_filler_jacobian_exact():
     curve = builtin_curve("triple")
     phi = mollify_sequence(curve, 8)
     fit = minimize_for_profile(phi, QUICK)
-    vk = recovery_sequence(curve, ExtensionParams(), 8, fit.dmap, mesh_h=0.15)
+    vk = recovery_map(curve, 8)
     assert jacobian_tv(vk) == fit.energy
 
 
 def test_recovery_constant_curve_is_constant():
     curve = constant_curve((0.4, -0.2))
-    fit = minimize_for_datum(curve, QUICK)
-    vk = recovery_sequence(curve, ExtensionParams(), 3, fit.dmap, mesh_h=0.2)
+    vk = recovery_map(curve, 3)
     assert np.all(vk.values == np.array([0.4, -0.2]))
     assert jacobian_tv(vk) == 0.0
     assert area_functional(vk) == mesh_area(vk.mesh)
@@ -160,18 +156,14 @@ def test_recovery_constant_curve_is_constant():
 
 def test_recovery_jacobian_mass_independent_of_radius():
     curve = builtin_curve("triple")
-    phi = mollify_sequence(curve, 4)
-    fit = minimize_for_profile(phi, QUICK)
-    v1 = recovery_sequence(curve, ExtensionParams(radius=1.0), 4, fit.dmap, mesh_h=0.2)
-    v2 = recovery_sequence(curve, ExtensionParams(radius=2.0), 4, fit.dmap, mesh_h=0.2)
+    v1 = recovery_map(curve, 4, ExtensionParams(radius=1.0))
+    v2 = recovery_map(curve, 4, ExtensionParams(radius=2.0))
     assert jacobian_tv(v1) == jacobian_tv(v2)
     assert v2.mesh.radius == 2.0
 
 
 def test_recovery_mesh_is_conforming():
-    curve = builtin_curve("vortex")
-    fit = minimize_for_datum(curve, QUICK)
-    vk = recovery_sequence(curve, ExtensionParams(), 2, fit.dmap, mesh_h=0.2)
+    vk = recovery_map(builtin_curve("vortex"), 2)
     mesh = vk.mesh
     edges = {}
     for tri in mesh.triangles:
@@ -190,19 +182,18 @@ def test_recovery_mesh_is_conforming():
 
 def test_report_vortex_meshfree():
     curve = builtin_curve("vortex")
-    rep = strict_convergence_report(curve, ExtensionParams(), ks=(2, 4, 8))
+    rep = strict_convergence_report(curve, ExtensionParams(), ks=(2, 4, 8), options=QUICK)
     assert rep.k_values == (2, 4, 8)
     assert rep.l1_errors == (0.0, 0.0, 0.0)
     two_pi = 2 * math.pi
     assert all(t == pytest.approx(two_pi, abs=1e-12) for t in rep.tv_values)
-    assert all(math.isnan(a) for a in rep.area_values)
     assert rep.l1_nonincreasing and rep.tv_nondecreasing and rep.tv_within_target
-    assert rep.jacobian_matched is None and rep.area_converged is None
 
 
 def test_report_triple_meshfree_trends():
     curve = builtin_curve("triple")
-    rep = strict_convergence_report(curve, ExtensionParams(), ks=(2, 4, 8, 16, 32))
+    rep = strict_convergence_report(curve, ExtensionParams(), ks=(2, 4, 8, 16, 32),
+                                    options=QUICK)
     assert all(t == pytest.approx(3.0, abs=1e-12) for t in rep.tv_values)
     assert rep.tv_target == pytest.approx(3.0, abs=1e-12)
     assert all(x > 0 for x in rep.l1_errors)
@@ -213,7 +204,8 @@ def test_report_triple_meshfree_trends():
 
 def test_report_cantor_arc_meshfree():
     curve = builtin_curve("cantor-arc")
-    rep = strict_convergence_report(curve, ExtensionParams(), ks=(2, 4, 8, 32))
+    rep = strict_convergence_report(curve, ExtensionParams(), ks=(2, 4, 8, 32),
+                                    options=PlateauOptions(mesh_h=0.3))
     assert all(t == pytest.approx(math.pi / 2, abs=1e-12) for t in rep.tv_values)
     assert rep.tv_within_target
 
@@ -246,6 +238,14 @@ def test_report_triple_with_meshes_uses_matched_fillers():
     assert all(np.isfinite(rep.area_values))
 
 
+@pytest.mark.parametrize("name", ["vortex", "figure-eight"])
+def test_report_constant_speed_filler_is_plateau_values(name):
+    curve = builtin_curve(name)
+    opts = PlateauOptions(mesh_h=0.3)
+    rep = strict_convergence_report(curve, ExtensionParams(), (2,), opts)
+    assert rep.filler_jacobian_tv[0] == plateau_value(curve, opts).upper
+
+
 def test_report_mollifies_each_k_once(monkeypatch):
     real = relaxation.mollify_sequence
     calls = []
@@ -257,7 +257,7 @@ def test_report_mollifies_each_k_once(monkeypatch):
     monkeypatch.setattr(relaxation, "mollify_sequence", counting)
     ks = (2, 4, 8)
     rep = strict_convergence_report(builtin_curve("triple"), ExtensionParams(), ks=ks,
-                                    options=PlateauOptions(mesh_h=0.3, n_completion=128))
+                                    options=PlateauOptions(mesh_h=0.3))
     assert rep.jacobian_matched is True
     # the gluing reuses the report's own mollified profile
     assert calls == list(ks)
@@ -274,7 +274,7 @@ def test_report_checks_each_seam_once(monkeypatch, name, checks):
 
     monkeypatch.setattr(relaxation, "_seam_values", counting)
     rep = strict_convergence_report(builtin_curve(name), ExtensionParams(), ks=(2, 4, 8),
-                                    options=PlateauOptions(mesh_h=0.3, n_completion=128))
+                                    options=PlateauOptions(mesh_h=0.3))
     assert rep.jacobian_matched is True
     # vortex: the radial start's check serves the constant-speed filler for
     # every k; triple: each start check fails, and each profile filler is

@@ -1,6 +1,5 @@
 """SVG emission: well-formed markup, shading semantics, determinism."""
 
-import math
 import xml.etree.ElementTree as ET
 
 import numpy as np

@@ -16,7 +16,6 @@ from test_plateau import star_polygons
 from bvplateau import ClosedPolyline, completed_curve, winding
 from bvplateau.curveio import BUILTIN_NAMES, builtin_curve
 from bvplateau.winding import (
-    ArrangementError,
     _candidate_pairs,
     _pair_cuts,
     _poly_scale,
