@@ -9,11 +9,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def cross2(a, b) -> float:
-    """Scalar cross product a1*b2 - a2*b1."""
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def triangle_dets(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Twice the signed area of each triangle: det(p1 - p0, p2 - p0) for
     the rows of points indexed by tris, positive when counterclockwise."""

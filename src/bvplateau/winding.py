@@ -8,10 +8,16 @@ winding numbers from the unbounded face across edges.  Face areas come
 from compensated shoelace sums, so polygons with exactly representable
 vertices get exactly representable areas.
 
-Only segment pairs whose slightly inflated bounding boxes overlap are
-tested for intersection.  The inflation provably covers every pair the
-exact intersection test can accept (see _candidate_pairs), so the cuts,
-and hence the areas, are those of the all-pairs test.
+The arrangement is built with array operations throughout, the face walk
+and the winding propagation excepted.  Only segment pairs whose slightly
+inflated bounding boxes overlap, found by a sort and sweep, are tested
+for intersection.  The inflation provably covers every pair the
+intersection test can accept (see _candidate_pairs), so the cuts, and
+hence the areas, are those of the all-pairs test.  That test writes its
+dot and cross products out as x0*y0 + x1*y1, so its results do not depend
+on the BLAS build.  Cut points are merged as a sequential first-seen
+snapper merges them; a sweep shows when that is a plain exact
+deduplication (see _snap).
 
 A Monte Carlo cross-check on a jittered stratified grid is provided as an
 independent estimator with a standard error.
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ClosedPolyline
-from .geometry import cross2, polygon_signed_area
+from .geometry import polygon_signed_area
 
 
 class ArrangementError(RuntimeError):
@@ -135,43 +141,61 @@ class _Snapper:
         return idx
 
 
-def _pair_cuts(a0, a1, b0, b1, eps):
-    """Intersection parameters [(t_on_a, t_on_b), ...] including collinear
-    overlap endpoints; endpoint touches count."""
-    r = a1 - a0
-    s = b1 - b0
+def _cut_parameters(
+    segs: np.ndarray, pairs: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cuts of the segment pairs (i, j) = pairs[k], as one segment index
+    array and one parameter array, each cut listed on i and on j; endpoint
+    touches count.
+
+    With r = a1 - a0, s = b1 - b0 and d = b0 - a0 for segments a = i and
+    b = j: a crossing pair, |r X s| > 1e-12 |r||s|, is cut at the
+    intersection of the two lines, a0 + t r = b0 + u s, when t and u are
+    within eps/|r| and eps/|s| of [0, 1], clamped to it.  A parallel pair
+    whose lines are within eps of each other is cut at both ends lo <= hi
+    of its overlap on a (once when they are equal), paired with the
+    clamped projection u of that point onto b.  Dot and cross products are
+    written out as x0*y0 + x1*y1 and x0*y1 - x1*y0, so the cuts do not
+    depend on the BLAS build.
+    """
+    i, j = pairs[:, 0], pairs[:, 1]
+    a0 = segs[i, 0]
+    b0 = segs[j, 0]
+    r = segs[i, 1] - a0
+    s = segs[j, 1] - b0
     d = b0 - a0
-    rr = float(r @ r)
-    ss = float(s @ s)
-    denom = cross2(r, s)
-    if abs(denom) > 1e-12 * math.sqrt(rr * ss):
-        t = cross2(d, s) / denom
-        u = cross2(d, r) / denom
-        tol_t = eps / math.sqrt(rr)
-        tol_u = eps / math.sqrt(ss)
-        if -tol_t <= t <= 1.0 + tol_t and -tol_u <= u <= 1.0 + tol_u:
-            return [(min(max(t, 0.0), 1.0), min(max(u, 0.0), 1.0))]
-        return []
-    # parallel; collinear only if the supporting lines coincide
-    if abs(cross2(d, r)) > eps * math.sqrt(rr):
-        return []
-    t0 = float(d @ r) / rr
-    t1 = float((b1 - a0) @ r) / rr
-    lo, hi = min(t0, t1), max(t0, t1)
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
-    if hi < lo:
-        return []
-    out = []
-    for t in {lo, hi}:
-        p = a0 + t * r
-        u = float((p - b0) @ s) / ss
-        out.append((t, min(max(u, 0.0), 1.0)))
-    return out
+    rx, ry, sx, sy, dx, dy = r[:, 0], r[:, 1], s[:, 0], s[:, 1], d[:, 0], d[:, 1]
+    rr = rx * rx + ry * ry
+    ss = sx * sx + sy * sy
+    denom = rx * sy - ry * sx
+    crossing = np.abs(denom) > 1e-12 * np.sqrt(rr * ss)
 
+    c = np.flatnonzero(crossing)
+    t = (dx[c] * sy[c] - dy[c] * sx[c]) / denom[c]
+    u = (dx[c] * ry[c] - dy[c] * rx[c]) / denom[c]
+    tol_t = eps / np.sqrt(rr[c])
+    tol_u = eps / np.sqrt(ss[c])
+    hit = (-tol_t <= t) & (t <= 1.0 + tol_t) & (-tol_u <= u) & (u <= 1.0 + tol_u)
+    c, t, u = c[hit], np.clip(t[hit], 0.0, 1.0), np.clip(u[hit], 0.0, 1.0)
 
-# rows of the pair filter compared at once; its masks hold this many times
-# the segment count
-_BLOCK_ROWS = 256
+    # parallel: collinear only if the supporting lines coincide
+    p = np.flatnonzero(~crossing)
+    p = p[~(np.abs(dx[p] * ry[p] - dy[p] * rx[p]) > eps * np.sqrt(rr[p]))]
+    e = segs[j[p], 1] - a0[p]
+    t0 = (dx[p] * rx[p] + dy[p] * ry[p]) / rr[p]
+    t1 = (e[:, 0] * rx[p] + e[:, 1] * ry[p]) / rr[p]
+    lo = np.maximum(np.minimum(t0, t1), 0.0)
+    hi = np.minimum(np.maximum(t0, t1), 1.0)
+    overlap = ~(hi < lo)
+    p, lo, hi = p[overlap], lo[overlap], hi[overlap]
+    two = hi != lo
+    p = np.concatenate([p, p[two]])
+    tp = np.concatenate([lo, hi[two]])
+    q = a0[p] + tp[:, None] * r[p] - b0[p]
+    up = np.clip((q[:, 0] * sx[p] + q[:, 1] * sy[p]) / ss[p], 0.0, 1.0)
+
+    seg = np.concatenate([i[c], j[c], i[p], j[p]])
+    return seg, np.concatenate([t, u, tp, up])
 
 
 def _candidate_pairs(segs: np.ndarray, eps: float) -> np.ndarray:
@@ -179,10 +203,10 @@ def _candidate_pairs(segs: np.ndarray, eps: float) -> np.ndarray:
     bounding boxes overlap once box i is inflated by 4*eps + 1e-2*|seg i|
     on every side (and box j likewise).
 
-    Every pair for which _pair_cuts(..., eps) returns a cut is among them.
-    With r = a1 - a0, s = b1 - b0, d = b0 - a0, L = |r| + |s| and c = 2**-53
-    the unit roundoff, a computed cross product x X y is off by less than
-    6c |x||y|:
+    Every pair for which _cut_parameters(..., eps) returns a cut is among
+    them.  With r = a1 - a0, s = b1 - b0, d = b0 - a0, L = |r| + |s| and
+    c = 2**-53 the unit roundoff, a computed cross product x X y is off by
+    less than 6c |x||y|:
 
     - Crossing branch, |r X s| > 1e-12 |r||s|.  An accepted t lies in
       [-eps/|r|, 1 + eps/|r|], so a0 + t r is within eps of segment a, and
@@ -200,104 +224,164 @@ def _candidate_pairs(segs: np.ndarray, eps: float) -> np.ndarray:
     The two boxes' margins sum to 8 eps + 1e-2 L, over three times either
     bound.  Adding a margin to a coordinate rounds away at most about one
     of its ulps, and two distinct coordinates are at least that far apart,
-    so the spare factor also covers the rounding of lo and hi.  Masks are
-    formed _BLOCK_ROWS rows at a time: memory is O(_BLOCK_ROWS * m) for m
-    segments.
+    so the spare factor also covers the rounding of lo and hi.
+
+    The pairs come from a sort and sweep: with the boxes sorted by their
+    lower x, the boxes after box p that overlap it in x are the run whose
+    lower x is at most p's upper x.  Those pairs are then tested in y.
+    Memory is O(pairs overlapping in x).
     """
     margin = (4.0 * eps + 1e-2 * np.hypot(*(segs[:, 1] - segs[:, 0]).T))[:, None]
     lo = np.minimum(segs[:, 0], segs[:, 1]) - margin
     hi = np.maximum(segs[:, 0], segs[:, 1]) + margin
     m = len(segs)
-    blocks = [np.empty((0, 2), dtype=np.intp)]
-    for start in range(0, m, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, m))
-        # columns from start on; the upper triangle keeps j > i
-        overlap = np.all(
-            (lo[rows, None] <= hi[None, start:]) & (lo[None, start:] <= hi[rows, None]), axis=2
-        )
-        i, j = np.nonzero(np.triu(overlap, 1))
-        blocks.append(np.stack([i, j], axis=1) + start)
-    return np.concatenate(blocks)
+    order = np.argsort(lo[:, 0], kind="stable")
+    after = np.arange(1, m + 1)
+    run = np.searchsorted(lo[order, 0], hi[order, 0], side="right") - after
+    # the run of sorted box p is p + 1 .. p + run[p]; begin is its offset in
+    # the flat pair list
+    begin = np.cumsum(run) - run
+    p = np.repeat(np.arange(m), run)
+    i = order[p]
+    j = order[p + 1 + np.arange(len(p)) - begin[p]]
+    y = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
+    i, j = np.minimum(i[y], j[y]), np.maximum(i[y], j[y])
+    rank = np.lexsort((j, i))
+    return np.stack([i[rank], j[rank]], axis=1)
+
+
+def _snap(points: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of points merged as _Snapper merges them, and the merged points.
+
+    Exact repeats share the id of their first occurrence, and ids count
+    distinct points in the order they are first seen.  That is all
+    _Snapper does when no two distinct points lie within eps (sup norm):
+    the only representative within eps of a point is then the point
+    itself.  A sweep rules such pairs out.  Sort the distinct points by x
+    and split them into runs wherever consecutive x differ by more than
+    eps.  Two points within eps of each other lie in one run, and when
+    that run is sorted by y, every two neighbours from the one to the
+    other differ by at most eps in y; rounded differences are monotone, so
+    this holds for computed differences too.  Where some neighbours in a
+    run are that close, _Snapper runs over the whole sequence.
+    """
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    sorted_pts = points[order]
+    new = np.ones(len(points), dtype=bool)
+    new[1:] = np.any(sorted_pts[1:] != sorted_pts[:-1], axis=1)
+    distinct = sorted_pts[new]
+    run = np.concatenate([[0], np.cumsum(distinct[1:, 0] - distinct[:-1, 0] > eps)])
+    by_y = np.lexsort((distinct[:, 1], run))
+    y, run = distinct[by_y, 1], run[by_y]
+    if np.any((run[1:] == run[:-1]) & (y[1:] - y[:-1] <= eps)):
+        snap = _Snapper(eps)
+        ids = np.array([snap.add(p) for p in points], dtype=np.intp)
+        return ids, np.asarray(snap.points)
+    # lexsort is stable, so each group of repeats starts at its first occurrence
+    first = order[new]
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    ids = np.empty(len(points), dtype=np.intp)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, points[np.sort(first)]
 
 
 def build_arrangement(poly: ClosedPolyline) -> Arrangement:
     """Planar subdivision induced by poly, with the winding number of
     every face.
 
-    Segments are split at the cuts _pair_cuts finds with tolerance
+    Segments are split at the cuts _cut_parameters finds with tolerance
     eps = 1e-12 * scale; only pairs from _candidate_pairs, whose inflated
     bounding boxes overlap, are tested.  Its margin, 4 eps + 1e-2 times
-    the segment length per box, covers everything _pair_cuts accepts,
-    rounding included, so the cuts are those of the all-pairs test and
-    areas are reproduced bit for bit.
+    the segment length per box, covers everything _cut_parameters accepts,
+    rounding included, so the cuts are those of the all-pairs test.
+
+    Along each segment the cut parameters are taken in increasing order,
+    and one is dropped when it lies within eps (times the segment length)
+    of the last one kept.  The cut points are merged within eps by _snap,
+    first-seen coordinates winning, so exactly representable input
+    vertices stay exact.  Half-edges around each vertex are ordered by
+    angle; faces are their next-edge cycles, starting from the lowest
+    half-edge of each, with compensated shoelace areas.  Winding numbers
+    spread from the unbounded face across edges weighted by how often the
+    chain runs along them in each direction.
     """
     segs = _segments(poly)
     if len(segs) == 0:
         return Arrangement(poly.vertices[:1].copy(), ())
     scale = _poly_scale(poly)
     eps = 1e-12 * scale
+    m = len(segs)
 
-    cuts: list[list[float]] = [[0.0, 1.0] for _ in segs]
-    for i, j in _candidate_pairs(segs, eps).tolist():
-        for t, u in _pair_cuts(segs[i, 0], segs[i, 1], segs[j, 0], segs[j, 1], eps):
-            cuts[i].append(t)
-            cuts[j].append(u)
+    seg, t = _cut_parameters(segs, _candidate_pairs(segs, eps), eps)
+    seg = np.concatenate([np.arange(m), np.arange(m), seg])
+    t = np.concatenate([np.zeros(m), np.ones(m), t])
+    order = np.lexsort((t, seg))
+    seg, t = seg[order], t[order]
+    # an exact repeat is always dropped by the rule below, so dropping the
+    # repeats first leaves the rule to run only where a gap is at most eps
+    keep = np.ones(len(t), dtype=bool)
+    keep[1:] = (seg[1:] != seg[:-1]) | (t[1:] != t[:-1])
+    seg, t = seg[keep], t[keep]
+    d = segs[:, 1] - segs[:, 0]
+    length = np.hypot(d[:, 0], d[:, 1])
+    close = (seg[1:] == seg[:-1]) & ((t[1:] - t[:-1]) * length[seg[1:]] <= eps)
+    if np.any(close):
+        keep = np.ones(len(t), dtype=bool)
+        for i in set(seg[1:][close].tolist()):
+            rows = np.flatnonzero(seg == i).tolist()
+            last_t = t[rows[0]]
+            for k in rows[1:]:
+                if (t[k] - last_t) * length[i] <= eps:
+                    keep[k] = False
+                else:
+                    last_t = t[k]
+        seg, t = seg[keep], t[keep]
 
-    snap = _Snapper(eps)
-    dir_count: dict[tuple[int, int], int] = {}
-    for i, seg in enumerate(segs):
-        ts = sorted(cuts[i])
-        length = float(np.hypot(*(seg[1] - seg[0])))
-        ids = []
-        last_t = None
-        for t in ts:
-            if last_t is not None and (t - last_t) * length <= eps:
-                continue
-            p = seg[0] if t == 0.0 else (seg[1] if t == 1.0 else seg[0] + t * (seg[1] - seg[0]))
-            ids.append(snap.add(p))
-            last_t = t
-        for a, b in zip(ids, ids[1:]):
-            if a != b:
-                dir_count[(a, b)] = dir_count.get((a, b), 0) + 1
+    a, b = segs[seg, 0], segs[seg, 1]
+    points = np.where(
+        (t == 0.0)[:, None], a, np.where((t == 1.0)[:, None], b, a + t[:, None] * d[seg])
+    )
+    ids, verts = _snap(points, eps)
 
-    verts = np.asarray(snap.points)
-    und = sorted({(min(a, b), max(a, b)) for a, b in dir_count})
-    if not und:
+    step = (seg[1:] == seg[:-1]) & (ids[1:] != ids[:-1])
+    tail, head = ids[:-1][step], ids[1:][step]
+    if len(tail) == 0:
         return Arrangement(verts, ())
+    nv = len(verts)
+    und, edge = np.unique(np.minimum(tail, head) * nv + np.maximum(tail, head),
+                          return_inverse=True)
+    # times the chain runs along each edge lo->hi, less the times hi->lo
+    up = tail < head
+    net = np.bincount(edge[up], minlength=len(und)) - np.bincount(edge[~up], minlength=len(und))
 
     # half-edges: 2*i is lo->hi of und[i], 2*i+1 its twin
-    n_he = 2 * len(und)
-    origin = np.empty(n_he, dtype=int)
-    dest = np.empty(n_he, dtype=int)
-    for i, (u, v) in enumerate(und):
-        origin[2 * i], dest[2 * i] = u, v
-        origin[2 * i + 1], dest[2 * i + 1] = v, u
+    lo, hi = und // nv, und % nv
+    origin = np.stack([lo, hi], axis=1).ravel()
+    dest = np.stack([hi, lo], axis=1).ravel()
+    weight = np.stack([net, -net], axis=1).ravel().tolist()
+    n_he = len(origin)
     twin = np.arange(n_he) ^ 1
-    weight = np.array(
-        [
-            dir_count.get((origin[h], dest[h]), 0) - dir_count.get((dest[h], origin[h]), 0)
-            for h in range(n_he)
-        ],
-        dtype=int,
-    )
 
-    outgoing: dict[int, list[int]] = {}
-    for h in range(n_he):
-        outgoing.setdefault(int(origin[h]), []).append(h)
-    pos = np.empty(n_he, dtype=int)
-    for v, hs in outgoing.items():
-        d = verts[dest[hs]] - verts[v]
-        order = np.argsort(np.arctan2(d[:, 1], d[:, 0]))
-        hs[:] = [hs[k] for k in order]
-        for k, h in enumerate(hs):
-            pos[h] = k
+    # rings: the half-edges leaving each vertex, by angle
+    out = verts[dest] - verts[origin]
+    angle = np.arctan2(out[:, 1], out[:, 0])
+    ring = np.lexsort((angle, origin))
+    degree = np.bincount(origin, minlength=nv)
+    start = np.cumsum(degree) - degree
+    # half-edges leaving one vertex at one angle (overlapping edges) are
+    # ordered as np.argsort orders that vertex's angles, ties included
+    tie = (origin[ring[1:]] == origin[ring[:-1]]) & (angle[ring[1:]] == angle[ring[:-1]])
+    for v in set(origin[ring[1:][tie]].tolist()):
+        hs = np.flatnonzero(origin == v)
+        ring[start[v] : start[v] + len(hs)] = hs[np.argsort(angle[hs])]
+    pos = np.empty(n_he, dtype=np.intp)
+    pos[ring] = np.arange(n_he)
+    # the next half-edge of h leaves dest[h] just clockwise of h's twin
+    first = start[dest]
+    nxt = ring[first + (pos[twin] - first - 1) % degree[dest]].tolist()
 
-    nxt = np.empty(n_he, dtype=int)
-    for h in range(n_he):
-        ring = outgoing[int(dest[h])]
-        nxt[h] = ring[(pos[twin[h]] - 1) % len(ring)]
-
-    face_of = np.full(n_he, -1, dtype=int)
+    face_of = [-1] * n_he
     cycles: list[list[int]] = []
     for h0 in range(n_he):
         if face_of[h0] >= 0:
@@ -308,7 +392,7 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
         while face_of[h] < 0:
             face_of[h] = f
             walk.append(h)
-            h = int(nxt[h])
+            h = nxt[h]
         if h != h0:
             raise ArrangementError("face walk did not close on its start")
         cycles.append(walk)
@@ -323,14 +407,14 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
         raise ArrangementError("multiple unbounded faces; chain is not connected")
     outer = negatives[0] if negatives else int(np.argmin(areas))
 
-    winding = np.full(len(cycles), None, dtype=object)
+    winding: list[int | None] = [None] * len(cycles)
     winding[outer] = 0
     queue = [outer]
     while queue:
         f = queue.pop()
         for h in cycles[f]:
-            g = int(face_of[twin[h]])
-            w = winding[f] - int(weight[h])
+            g = face_of[twin[h]]
+            w = winding[f] - weight[h]
             if winding[g] is None:
                 winding[g] = w
                 queue.append(g)
@@ -338,16 +422,12 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
                 raise ArrangementError(
                     f"inconsistent winding at faces {f}/{g}: {winding[g]} vs {w}"
                 )
-    if any(w is None for w in winding):
+    if None in winding:
         raise ArrangementError("some faces were unreachable from the outer face")
 
+    origin_ids = origin.tolist()
     faces = tuple(
-        Face(
-            tuple(int(origin[h]) for h in walk),
-            float(areas[f]),
-            int(winding[f]),
-            f == outer,
-        )
+        Face(tuple(origin_ids[h] for h in walk), float(areas[f]), winding[f], f == outer)
         for f, walk in enumerate(cycles)
     )
     return Arrangement(verts, faces)

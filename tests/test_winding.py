@@ -6,9 +6,11 @@ enclose total multiplicity-weighted area 2.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+import reference_arrangement as reference
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_plateau import star_polygons
@@ -16,8 +18,9 @@ from test_plateau import star_polygons
 from bvplateau import ClosedPolyline, completed_curve, winding
 from bvplateau.curveio import BUILTIN_NAMES, builtin_curve
 from bvplateau.winding import (
+    ArrangementError,
     _candidate_pairs,
-    _pair_cuts,
+    _cut_parameters,
     _poly_scale,
     _segments,
     build_arrangement,
@@ -66,10 +69,10 @@ def near_degenerate_polylines(draw):
     integer or made from an earlier edge p -> q: a repeated vertex, a point
     on the edge (T-junctions and vertex-on-edge touches), a point on its
     line beyond it (collinear overlaps), a point a few 1e-12 |q - p| off
-    its line, a step turned about 1e-12 rad from it (the _pair_cuts
+    its line, a step turned about 1e-12 rad from it (the _cut_parameters
     parallel threshold), or such a step started just past q: there
-    rounding lets _pair_cuts accept pairs whose boxes are up to about 1e-4
-    of their length apart.  Then scaled and translated, so that
+    rounding lets _cut_parameters accept pairs whose boxes are up to about
+    1e-4 of their length apart.  Then scaled and translated, so that
     collinearity holds only up to rounding."""
     ints = st.integers(-8, 8)
     v = [np.array([draw(ints), draw(ints)], dtype=float)]
@@ -274,17 +277,24 @@ def test_general_dilation():
 
 
 def assert_filter_keeps_every_cut(poly):
-    """Every pair _pair_cuts cuts, tested against all pairs, is a candidate;
-    candidates are distinct pairs i < j in row-major order."""
+    """The sweep returns exactly the blocked filter's pairs; every pair the
+    reference _pair_cuts cuts, tested against all pairs, is among them, and
+    _cut_parameters cuts all pairs as the reference does."""
     segs = _segments(poly)
     eps = 1e-12 * _poly_scale(poly)
-    pairs = [tuple(p) for p in _candidate_pairs(segs, eps).tolist()]
-    assert pairs == sorted(set(pairs)) and all(i < j for i, j in pairs)
-    kept = set(pairs)
+    pairs = _candidate_pairs(segs, eps)
+    assert np.array_equal(pairs, reference._candidate_pairs(segs, eps))
+    kept = set(map(tuple, pairs.tolist()))
+    want = []
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
-            if _pair_cuts(segs[i, 0], segs[i, 1], segs[j, 0], segs[j, 1], eps):
+            cuts = reference._pair_cuts(segs[i, 0], segs[i, 1], segs[j, 0], segs[j, 1], eps)
+            if cuts:
                 assert (i, j) in kept, (i, j, segs[i].tolist(), segs[j].tolist())
+            want += [(i, t) for t, _ in cuts] + [(j, u) for _, u in cuts]
+    all_pairs = np.array(np.triu_indices(len(segs), 1)).T
+    seg, t = _cut_parameters(segs, all_pairs, eps)
+    assert sorted(zip(seg.tolist(), t.tolist())) == sorted(want)
 
 
 @pytest.mark.parametrize("n", [256, 512])
@@ -305,18 +315,78 @@ def test_candidate_filter_keeps_near_degenerate_cuts(poly):
     assert_filter_keeps_every_cut(poly)
 
 
-def test_arrangement_tests_linearly_many_pairs(monkeypatch):
-    # a work count, not a timing: testing every pair would take m(m-1)/2 calls
-    calls = []
+@pytest.mark.parametrize("n", [512, 4096])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_arrangement_tests_linearly_many_pairs(monkeypatch, name, n):
+    # a work count, not a timing: testing every pair would take m(m-1)/2 rows
+    rows = []
 
-    def counting(*args):
-        calls.append(1)
-        return _pair_cuts(*args)
+    def counting(segs, pairs, eps):
+        rows.append(len(pairs))
+        return _cut_parameters(segs, pairs, eps)
 
-    monkeypatch.setattr(winding, "_pair_cuts", counting)
-    poly = completed_curve(builtin_curve("triple"), 512)
+    monkeypatch.setattr(winding, "_cut_parameters", counting)
+    poly = completed_curve(builtin_curve(name), n)
     winding_area(poly)
-    assert 0 < len(calls) <= 2 * len(_segments(poly))
+    assert len(rows) == 1 and 0 < rows[0] <= 2 * len(_segments(poly))
+
+
+# ---------------------------------------------------------------------------
+# array code against the loop reference
+
+
+def assert_matches_reference(poly):
+    """build_arrangement returns what the loop reference returns, or raises
+    the same ArrangementError."""
+    try:
+        want = reference.build_arrangement(poly)
+    except ArrangementError as err:
+        with pytest.raises(ArrangementError, match=f"^{re.escape(str(err))}$"):
+            build_arrangement(poly)
+        return
+    got = build_arrangement(poly)
+    assert np.array_equal(got.vertices, want.vertices)
+    assert [(f.vertex_cycle, f.signed_area, f.winding, f.is_outer) for f in got.faces] == [
+        (f.vertex_cycle, f.signed_area, f.winding, f.is_outer) for f in want.faces
+    ]
+
+
+@pytest.mark.parametrize("n", [64, 256, 512, 1024])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_arrangement_matches_reference(name, n):
+    assert_matches_reference(completed_curve(builtin_curve(name), n))
+
+
+@pytest.mark.parametrize("poly", [SLIT_SQUARE, FIGURE_EIGHT_POLY, DOUBLE_SQUARE])
+def test_fixture_arrangement_matches_reference(poly):
+    assert_matches_reference(poly)
+
+
+def test_collinear_cuts_do_not_depend_on_blas():
+    # segments 1 and 2 overlap collinearly; with the dot products of that
+    # branch taken by a BLAS ddot (r @ r), the overlap's cut parameter
+    # differs in its last bits from rx*rx + ry*ry arithmetic, and the area
+    # from 8.046627044675854e-07 by 1 ulp
+    poly = ClosedPolyline(np.array([
+        [-0.001220703125, 0.0009765625000000733],
+        [-0.0012207031249997558, -0.0007324218749997558],
+        [0.0009765624999997558, 0.000732421875],
+        [0.00024414062500007324, 0.00024414062500024416],
+        [-0.0017089843749999267, -2.44140625e-16],
+    ]))
+    assert_matches_reference(poly)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_polygons)
+def test_integer_polygon_arrangement_matches_reference(v):
+    assert_matches_reference(ClosedPolyline(v))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(near_degenerate_polylines())
+def test_near_degenerate_arrangement_matches_reference(poly):
+    assert_matches_reference(poly)
 
 
 # ---------------------------------------------------------------------------
