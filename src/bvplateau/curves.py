@@ -613,14 +613,11 @@ def completed_curve(curve: Curve, n_vertices: int = 256) -> ClosedPolyline:
             t = np.linspace(0.0, 1.0, budget)[:, None]
             chunks.append((1.0 - t) * np.asarray(a) + t * np.asarray(b))
 
-    verts = [chunks[0][0]]
-    for ch in chunks:
-        for q in ch:
-            if np.hypot(*(q - verts[-1])) > 0.0:
-                verts.append(q)
-    if np.any(verts[-1] != verts[0]):
-        verts.append(verts[0])
-    return ClosedPolyline(np.asarray(verts))
+    # drop each vertex equal to the one before it; ClosedPolyline closes the loop
+    v = np.concatenate(chunks)
+    keep = np.ones(len(v), dtype=bool)
+    keep[1:] = np.any(v[1:] != v[:-1], axis=1)
+    return ClosedPolyline(v[keep])
 
 
 # ---------------------------------------------------------------------------

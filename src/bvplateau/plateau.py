@@ -27,8 +27,8 @@ seen, not the last one; its jacobian_tv is the reported upper end.
 Each delta-stage ends on the first of:
 
 - bracket_closed: best E0 - lower <= BRACKET_RTOL * max(lower, scale**2),
-  with lower the winding area of the rim trace and scale the largest
-  rim-value norm.  This ends the whole schedule.
+  with lower the winding area of the rim trace and scale the rim's
+  extent, its largest coordinate range.  This ends the whole schedule.
 - stationary: the sup-norm gradient of E_delta is below grad_tol, or
   E_delta fell by at most STALL_RTOL (relative) over the last
   STALL_WINDOW steps.
@@ -199,7 +199,7 @@ def jacobian_tv_minimize(
     if lower is None:
         target = -math.inf
     else:
-        scale = float(np.max(np.linalg.norm(start[mesh.boundary_loop], axis=1)))
+        scale = float(np.max(np.ptp(start[mesh.boundary_loop], axis=0)))
         target = lower + BRACKET_RTOL * max(lower, scale * scale)
 
     # iterates are replaced, never written in place, so best can alias one

@@ -115,10 +115,10 @@ INTERFACE_TOL = 1e-3
 def _seam_values(phi: Curve, filler: DiscreteMap):
     """Rim angles of filler and the values of phi there, or None when the
     filler's pinned rim deviates from them by more than INTERFACE_TOL
-    relative to the value scale."""
+    relative to the values' extent, their largest coordinate range."""
     ang = _rim_angles(filler.mesh)
     vals = evaluate_many(phi, ang)
-    scale = max(float(np.max(np.abs(vals))), 1e-12)
+    scale = max(float(np.max(np.ptp(vals, axis=0))), 1e-12)
     mismatch = float(np.max(np.abs(filler.values[filler.mesh.boundary_loop] - vals)))
     if mismatch > INTERFACE_TOL * scale:
         return None

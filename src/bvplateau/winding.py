@@ -19,8 +19,9 @@ on the BLAS build.  Cut points are merged as a sequential first-seen
 snapper merges them; a sweep shows when that is a plain exact
 deduplication (see _snap).
 
-A Monte Carlo cross-check on a jittered stratified grid is provided as an
-independent estimator with a standard error.
+A Monte Carlo cross-check on a jittered stratified grid, sampled once
+and counted by crossings, is provided as an independent estimator with a
+standard error.
 """
 
 from __future__ import annotations
@@ -43,25 +44,15 @@ class ArrangementError(RuntimeError):
 
 
 def _segments(poly: ClosedPolyline) -> np.ndarray:
-    """(m, 2, 2) array of nondegenerate closed-chain segments."""
+    """(m, 2, 2) array of the closed-chain segments of positive squared
+    length; one whose square underflows is below 1.5e-154, and snapping
+    would merge its ends anyway."""
     v = poly.vertices
-    keep = np.any(v[1:] != v[:-1], axis=1)
+    d = v[1:] - v[:-1]
+    keep = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] > 0
     a = v[:-1][keep]
     b = v[1:][keep]
     return np.stack([a, b], axis=1)
-
-
-def distance_to_curve(poly: ClosedPolyline, points) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    segs = _segments(poly)
-    if len(segs) == 0:
-        return np.linalg.norm(pts - poly.vertices[0], axis=1)
-    a = segs[:, 0][:, None, :]
-    d = (segs[:, 1] - segs[:, 0])[:, None, :]
-    ll = np.sum(d * d, axis=2)
-    t = np.clip(np.sum((pts[None] - a) * d, axis=2) / ll, 0.0, 1.0)
-    proj = a + t[:, :, None] * d
-    return np.min(np.linalg.norm(pts[None] - proj, axis=2), axis=0)
 
 
 def winding_number_many(poly: ClosedPolyline, points) -> np.ndarray:
@@ -301,10 +292,11 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
     of the last one kept.  The cut points are merged within eps by _snap,
     first-seen coordinates winning, so exactly representable input
     vertices stay exact.  Half-edges around each vertex are ordered by
-    angle; faces are their next-edge cycles, starting from the lowest
-    half-edge of each, with compensated shoelace areas.  Winding numbers
-    spread from the unbounded face across edges weighted by how often the
-    chain runs along them in each direction.
+    angle, and those at one angle (overlapping edges) by half-edge index,
+    on every numpy build; faces are their next-edge cycles, starting from
+    the lowest half-edge of each, with compensated shoelace areas.
+    Winding numbers spread from the unbounded face across edges weighted
+    by how often the chain runs along them in each direction.
     """
     segs = _segments(poly)
     if len(segs) == 0:
@@ -363,18 +355,13 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
     n_he = len(origin)
     twin = np.arange(n_he) ^ 1
 
-    # rings: the half-edges leaving each vertex, by angle
+    # rings: the half-edges leaving each vertex, by angle; lexsort is
+    # stable, so half-edges at one angle (overlapping edges) keep index order
     out = verts[dest] - verts[origin]
     angle = np.arctan2(out[:, 1], out[:, 0])
     ring = np.lexsort((angle, origin))
     degree = np.bincount(origin, minlength=nv)
     start = np.cumsum(degree) - degree
-    # half-edges leaving one vertex at one angle (overlapping edges) are
-    # ordered as np.argsort orders that vertex's angles, ties included
-    tie = (origin[ring[1:]] == origin[ring[:-1]]) & (angle[ring[1:]] == angle[ring[:-1]])
-    for v in set(origin[ring[1:][tie]].tolist()):
-        hs = np.flatnonzero(origin == v)
-        ring[start[v] : start[v] + len(hs)] = hs[np.argsort(angle[hs])]
     pos = np.empty(n_he, dtype=np.intp)
     pos[ring] = np.arange(n_he)
     # the next half-edge of h leaves dest[h] just clockwise of h's twin
@@ -456,9 +443,10 @@ def winding_area_grid(
     """Stratified Monte Carlo estimate of the winding area.
 
     One jittered sample per cell of a resolution x resolution grid over a
-    slightly padded bounding box; points falling onto the curve itself are
-    re-jittered.  The standard error treats cells as independent, which is
-    conservative for stratified sampling.
+    slightly padded bounding box, drawn once.  The curve has zero area, so
+    a sample landing on it cannot bias the estimate and none is re-drawn.
+    The standard error treats cells as independent, which is conservative
+    for stratified sampling.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")
@@ -475,18 +463,9 @@ def winding_area_grid(
     rng = np.random.default_rng(seed)
     ii, jj = np.meshgrid(np.arange(resolution), np.arange(resolution), indexing="ij")
     cell = (hi - lo) / resolution
-    tol = 1e-12 * _poly_scale(poly)
     pts = np.empty((resolution * resolution, 2))
     pts[:, 0] = lo[0] + (ii.ravel() + rng.random(ii.size)) * cell[0]
     pts[:, 1] = lo[1] + (jj.ravel() + rng.random(jj.size)) * cell[1]
-    for _ in range(8):
-        close = distance_to_curve(poly, pts) <= tol
-        if not np.any(close):
-            break
-        k = int(np.count_nonzero(close))
-        pts[close, 0] = lo[0] + (ii.ravel()[close] + rng.random(k)) * cell[0]
-        pts[close, 1] = lo[1] + (jj.ravel()[close] + rng.random(k)) * cell[1]
-
     w = np.abs(winding_number_many(poly, pts))
     mean = float(np.mean(w))
     std = float(np.std(w, ddof=1))

@@ -150,7 +150,7 @@ def build_arrangement(poly) -> Arrangement:
     pos = np.empty(n_he, dtype=int)
     for v, hs in outgoing.items():
         d = verts[dest[hs]] - verts[v]
-        order = np.argsort(np.arctan2(d[:, 1], d[:, 0]))
+        order = np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")
         hs[:] = [hs[k] for k in order]
         for k, h in enumerate(hs):
             pos[h] = k

@@ -203,6 +203,18 @@ def test_bracket_valid_and_closed_on_star_polygons(poly):
     assert cert.upper - cert.lower <= 2 * BRACKET_RTOL * max(cert.lower, scale2)
 
 
+def test_bracket_rule_does_not_change_under_translation():
+    # polygon 6 of the rng(3) draw: its winding area, 0.457, is well below
+    # the mesh minimum, 0.625; the bracket tolerance follows the rim's
+    # extent, so a far translate must not close the bracket at the start
+    v = np.array([[-2, 7], [0, -2], [-6, -5], [3, 5], [-4, 2], [6, -6], [-4, 0]]) / 8
+    opts = PlateauOptions(mesh_h=0.2, max_iters=200)
+    certs = [plateau_value(ClosedPolyline(v + offset), opts) for offset in (0.0, 2.0**20)]
+    for cert in certs:
+        assert not (cert.termination == "bracket_closed" and cert.gap_flag)
+    assert certs[0].termination == certs[1].termination
+
+
 def test_stationary_stop_without_lower_bound():
     # the k = 8 profile filler of cantor-arc starts 9e-4 above its rim's
     # winding area; with no bound to close on, every stage must stall

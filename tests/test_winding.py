@@ -7,11 +7,12 @@ enclose total multiplicity-weighted area 2.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 import reference_arrangement as reference
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_plateau import star_polygons
 
@@ -24,7 +25,6 @@ from bvplateau.winding import (
     _poly_scale,
     _segments,
     build_arrangement,
-    distance_to_curve,
     winding_area,
     winding_area_grid,
     winding_number_many,
@@ -377,6 +377,28 @@ def test_collinear_cuts_do_not_depend_on_blas():
     assert_matches_reference(poly)
 
 
+def test_overlapping_edges_ordered_by_index():
+    # snapping makes edges overlap, so half-edges leave one vertex at one
+    # angle; ordered by index, not by the numpy build's unstable argsort,
+    # the face walk meets the same inconsistency on every build
+    poly = ClosedPolyline(np.array([
+        [1, 0], [2, 0], [1, -2.48573809e-12], [0, 0],
+        [2.0001, 0], [1.0001, -1.12260239e-12], [3, 0],
+    ]))
+    with pytest.raises(ArrangementError, match="^inconsistent winding at faces 0/0: 0 vs -1$"):
+        build_arrangement(poly)
+    assert_matches_reference(poly)
+
+
+def test_segment_whose_square_underflows():
+    # the last segment is 1.5e-168 long; its squared length is 0
+    poly = ClosedPolyline(np.array([[0, 0], [0, 9.53674316e-07], [0, 0], [-1.52534524e-168, 0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert winding_area(poly) == 0.0
+    assert_matches_reference(poly)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(integer_polygons)
 def test_integer_polygon_arrangement_matches_reference(v):
@@ -420,17 +442,11 @@ def test_winding_number_double_wound():
     assert _angle_winding(poly, [0.0, 0.0]) == 2
 
 
-def test_distance_to_curve():
-    d = distance_to_curve(UNIT_SQUARE, [[0.5, -1.0], [0.5, 0.5], [3.0, 0.0]])
-    assert np.allclose(d, [1.0, 0.5, 2.0])
-
-
 def test_crossing_matches_angle_random():
     rng = np.random.default_rng(11)
     for _ in range(15):
         poly = ClosedPolyline(rng.uniform(-1, 1, (8, 2)))
         pts = rng.uniform(-1.2, 1.2, (20, 2))
-        pts = pts[distance_to_curve(poly, pts) > 1e-9]
         assert winding_number_many(poly, pts).tolist() == [
             _angle_winding(poly, p) for p in pts
         ]
@@ -461,6 +477,21 @@ def test_grid_vortex():
     exact = winding_area(poly)
     est = winding_area_grid(poly, resolution=64, seed=2)
     assert abs(est.value - exact) <= 4 * est.stderr + 1e-3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_polygons, st.integers(0, 2**32 - 1))
+@example(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float), 0)
+def test_grid_matches_integer_polygon_area(v, seed):
+    poly = ClosedPolyline(v)
+    est = winding_area_grid(poly, 32, seed)
+    # the samples cover a box padded by 1e-6 * scale; when none lands in the
+    # pad (a filled bounding box: stderr 0), the pad's area counts at up to
+    # the largest |winding|, at most half the vertex count
+    ext = np.ptp(v, axis=0)
+    pad = 2e-6 * _poly_scale(poly) * (ext[0] + ext[1] + 2e-6 * _poly_scale(poly))
+    slack = len(v) // 2 * pad + 1e-12 * _poly_scale(poly) ** 2
+    assert abs(est.value - winding_area(poly)) <= 4 * est.stderr + slack
 
 
 def test_grid_deterministic():
