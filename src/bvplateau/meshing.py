@@ -1,7 +1,8 @@
 """Conforming triangulations of a disk.
 
 Meshes are built from concentric rings of vertices; consecutive rings are
-stitched by a cyclic two-pointer merge over their angle sequences, so
+stitched by a stable merge of their sorted "next angle" sequences (the
+triangles a cyclic two-pointer walk around the band would make), so
 rings of unequal size produce a conforming band with no hanging nodes.
 The outer ring can absorb a caller-supplied set of mandatory boundary
 angles (nearby uniform samples are dropped to avoid slivers).
@@ -58,21 +59,29 @@ def _boundary_angles(r: float, h: float, extras) -> np.ndarray:
     return np.sort(np.concatenate([base[mask], ex]))
 
 
-def _band(ang_a, ids_a, ang_b, ids_b) -> list[tuple[int, int, int]]:
-    """Stitch two concentric rings; returns len(a) + len(b) triangles."""
+def _band(ang_a, sa: int, ang_b, sb: int) -> np.ndarray:
+    """Stitch two concentric rings whose vertex ids start at sa and sb;
+    returns len(a) + len(b) triangles.
+
+    Each triangle steps one ring forward by one vertex: ring a when its
+    next angle is not past ring b's, else ring b.  Both rings' angles are
+    sorted in [0, 2*pi), so the next-angle sequences are sorted too, and a
+    stable merge of them with ring a first gives that order, ties included
+    (uniform rings share angles exactly, e.g. 2*pi*1/8 and 2*pi*2/16).
+    """
     na, nb = len(ang_a), len(ang_b)
-    tris = []
-    i = j = 0
-    while i < na or j < nb:
-        next_a = ang_a[(i + 1) % na] + TWO_PI * ((i + 1) // na)
-        next_b = ang_b[(j + 1) % nb] + TWO_PI * ((j + 1) // nb)
-        if j >= nb or (i < na and next_a <= next_b):
-            tris.append((ids_a[i % na], ids_b[j % nb], ids_a[(i + 1) % na]))
-            i += 1
-        else:
-            tris.append((ids_a[i % na], ids_b[j % nb], ids_b[(j + 1) % nb]))
-            j += 1
-    return tris
+    nxt = np.concatenate([ang_a[1:], [ang_a[0] + TWO_PI], ang_b[1:], [ang_b[0] + TWO_PI]])
+    step = np.argsort(nxt, kind="stable")  # the next-angle entry each triangle reaches
+    from_b = step >= na
+    j = np.cumsum(from_b) - from_b  # ring-b steps taken before each triangle
+    i = np.arange(na + nb) - j
+    # each ring's vertex ids, closed by repeating its first
+    ring_a = np.arange(sa, sa + na + 1)
+    ring_a[-1] = sa
+    ring_b = np.arange(sb, sb + nb + 1)
+    ring_b[-1] = sb
+    to = np.concatenate([ring_a[1:], ring_b[1:]])  # the vertex of each next angle
+    return np.stack([ring_a[i], ring_b[j], to[step]], axis=-1)
 
 
 def make_disk_mesh(
@@ -87,29 +96,20 @@ def make_disk_mesh(
     if radius <= 0.0 or h <= 0.0:
         raise ValueError("radius and h must be positive")
     n_rings = max(1, int(round(radius / h)))
-    verts: list[np.ndarray] = [np.zeros(2)]
-    rings: list[tuple[np.ndarray, np.ndarray]] = []
-    for j in range(1, n_rings + 1):
-        r = radius * j / n_rings
-        if j == n_rings:
-            ang = _boundary_angles(r, h, extra_boundary_angles)
-        else:
-            ang = _ring_angles(max(8, int(round(TWO_PI * r / h))))
-        ids = np.arange(len(verts), len(verts) + len(ang))
-        verts.extend(r * np.stack([np.cos(ang), np.sin(ang)], axis=-1))
-        rings.append((ang, ids))
+    radii = [radius * j / n_rings for j in range(1, n_rings + 1)]
+    angs = [_ring_angles(max(8, int(round(TWO_PI * r / h)))) for r in radii[:-1]]
+    angs.append(_boundary_angles(radii[-1], h, extra_boundary_angles))
+    sizes = [len(a) for a in angs]
+    starts = np.cumsum([1] + sizes)  # each ring's first vertex id, then the vertex count
+    ang = np.concatenate(angs)
+    r = np.repeat(radii, sizes)[:, None]
+    vertices = np.concatenate([np.zeros((1, 2)), r * np.stack([np.cos(ang), np.sin(ang)], axis=-1)])
 
-    tris: list[tuple[int, int, int]] = []
-    ang0, ids0 = rings[0]
-    n0 = len(ids0)
-    for k in range(n0):
-        tris.append((0, ids0[k], ids0[(k + 1) % n0]))
-    for (ang_a, ids_a), (ang_b, ids_b) in zip(rings, rings[1:]):
-        tris.extend(_band(ang_a, ids_a, ang_b, ids_b))
-
-    vertices = np.asarray(verts)
-    triangles = np.asarray(tris, dtype=int)
+    k = np.arange(sizes[0])
+    fan = np.stack([np.zeros_like(k), 1 + k, 1 + (k + 1) % sizes[0]], axis=-1)
+    bands = [_band(angs[q], starts[q], angs[q + 1], starts[q + 1]) for q in range(n_rings - 1)]
+    triangles = np.concatenate([fan, *bands])
     flip = triangle_dets(vertices, triangles) < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
-    return TriMesh(vertices, triangles, rings[-1][1], float(radius))
+    return TriMesh(vertices, triangles, np.arange(starts[-2], starts[-1]), float(radius))

@@ -19,9 +19,11 @@ on the BLAS build.  Cut points are merged as a sequential first-seen
 snapper merges them; a sweep shows when that is a plain exact
 deduplication (see _snap).
 
-A Monte Carlo cross-check on a jittered stratified grid, sampled once
-and counted by crossings, is provided as an independent estimator with a
-standard error.
+A Monte Carlo cross-check on a jittered stratified grid, sampled once,
+is provided as an independent estimator with a standard error.  Its
+winding numbers are crossing counts: the samples are sorted by y once,
+and each segment is tested only against the run of samples whose y lies
+in its y-range (see winding_number_many).
 """
 
 from __future__ import annotations
@@ -56,20 +58,36 @@ def _segments(poly: ClosedPolyline) -> np.ndarray:
 
 
 def winding_number_many(poly: ClosedPolyline, points) -> np.ndarray:
-    """Crossing-count winding numbers; no on-curve detection."""
+    """Crossing-count winding numbers; no on-curve detection.
+
+    A segment counts for a point when the point's y lies in
+    [min(ay, by), max(ay, by)) and the segment crosses that horizontal
+    line right of the point: +1 going up, -1 going down.  The points are
+    sorted by y once, so each segment's candidates are one contiguous run
+    found by binary search, and only those (segment, point) pairs are
+    tested.  Horizontal segments have empty runs.
+    """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     segs = _segments(poly)
     if len(segs) == 0:
         return np.zeros(len(pts), dtype=int)
-    ax, ay = segs[:, 0, 0][:, None], segs[:, 0, 1][:, None]
-    bx, by = segs[:, 1, 0][:, None], segs[:, 1, 1][:, None]
-    px, py = pts[:, 0][None, :], pts[:, 1][None, :]
-    up = (ay <= py) & (by > py)
-    down = (by <= py) & (ay > py)
-    dy = np.where(by == ay, 1.0, by - ay)
-    xi = ax + (py - ay) / dy * (bx - ax)
-    hit = xi > px
-    return (np.sum(up & hit, axis=0) - np.sum(down & hit, axis=0)).astype(int)
+    ax, ay = segs[:, 0, 0], segs[:, 0, 1]
+    bx, by = segs[:, 1, 0], segs[:, 1, 1]
+    order = np.argsort(pts[:, 1])
+    ys = pts[order, 1]
+    # the run of sorted samples with min(ay, by) <= y < max(ay, by)
+    lo = np.searchsorted(ys, np.minimum(ay, by), side="left")
+    hi = np.searchsorted(ys, np.maximum(ay, by), side="left")
+    runs = hi - lo
+    seg = np.repeat(np.arange(len(segs)), runs)
+    first = np.cumsum(runs) - runs
+    p = order[np.arange(len(seg)) - np.repeat(first - lo, runs)]
+    px, py = pts[p, 0], pts[p, 1]
+    ax, ay, bx, by = ax[seg], ay[seg], bx[seg], by[seg]
+    hit = ax + (py - ay) / (by - ay) * (bx - ax) > px
+    up = by > ay
+    n = len(pts)
+    return np.bincount(p[hit & up], minlength=n) - np.bincount(p[hit & ~up], minlength=n)
 
 
 def _poly_scale(poly: ClosedPolyline) -> float:

@@ -4,21 +4,36 @@ import math
 
 import numpy as np
 import pytest
+import reference_meshing as reference
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bvplateau import completed_curve
+from bvplateau.curveio import BUILTIN_NAMES, builtin_curve
 from bvplateau.geometry import polygon_signed_area, triangle_dets
 from bvplateau.meshing import make_disk_mesh
 
 TWO_PI = 2 * math.pi
 
 
+def corner_angles(name):
+    """Rim angles an area op passes: a builtin's 512-vertex completion's."""
+    return completed_curve(builtin_curve(name), 512).vertex_angles()
+
+
 def edge_counts(mesh):
-    counts = {}
-    for tri in mesh.triangles:
-        for k in range(3):
-            e = (int(tri[k]), int(tri[(k + 1) % 3]))
-            key = (min(e), max(e))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    """Number of triangles on each undirected edge."""
+    t = mesh.triangles
+    edges = np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=-1).reshape(-1, 2), axis=1)
+    return np.unique(edges, axis=0, return_counts=True)[1]
+
+
+def assert_conforming(mesh):
+    counts = edge_counts(mesh)
+    assert set(counts.tolist()) <= {1, 2}
+    assert np.count_nonzero(counts == 1) == len(mesh.boundary_loop)
+    # Euler formula for a disk: V - E + F = 1 (bounded faces only)
+    assert mesh.n_vertices - len(counts) + len(mesh.triangles) == 1
 
 
 def triangle_areas(mesh):
@@ -39,13 +54,16 @@ def min_angle_deg(mesh):
 
 @pytest.mark.parametrize("h", [0.4, 0.2, 0.1])
 def test_conforming(h):
-    mesh = make_disk_mesh(1.0, h)
-    counts = edge_counts(mesh)
-    assert set(counts.values()) <= {1, 2}
-    n_boundary_edges = sum(1 for c in counts.values() if c == 1)
-    assert n_boundary_edges == len(mesh.boundary_loop)
-    # Euler formula for a disk: V - E + F = 1 (bounded faces only)
-    assert mesh.n_vertices - len(counts) + len(mesh.triangles) == 1
+    assert_conforming(make_disk_mesh(1.0, h))
+
+
+@pytest.mark.parametrize("h", [0.05, 0.2])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_conforming_with_dense_rim(name, h):
+    # the corners evict every uniform rim sample, as in every area op
+    mesh = make_disk_mesh(1.0, h, corner_angles(name))
+    assert_conforming(mesh)
+    assert np.all(triangle_dets(mesh.vertices, mesh.triangles) > 0.0)
 
 
 def test_orientation_and_cover():
@@ -87,8 +105,7 @@ def test_extra_boundary_angles_present():
     for e in extras:
         assert np.min(np.abs(ang - e)) < 1e-12
     assert np.min(np.diff(np.sort(ang))) > 1e-9
-    counts = edge_counts(mesh)
-    assert set(counts.values()) <= {1, 2}
+    assert set(edge_counts(mesh).tolist()) <= {1, 2}
 
 
 def test_extra_angles_near_uniform_sample():
@@ -101,8 +118,7 @@ def test_extra_angles_near_uniform_sample():
 
 def test_coarse_mesh_still_valid():
     mesh = make_disk_mesh(1.0, 5.0)
-    counts = edge_counts(mesh)
-    assert set(counts.values()) <= {1, 2}
+    assert set(edge_counts(mesh).tolist()) <= {1, 2}
     assert len(mesh.boundary_loop) >= 16
     assert np.all(triangle_areas(mesh) > 0.0)
 
@@ -112,3 +128,44 @@ def test_bad_parameters():
         make_disk_mesh(0.0, 0.1)
     with pytest.raises(ValueError):
         make_disk_mesh(1.0, -1.0)
+
+
+@st.composite
+def mesh_arguments(draw):
+    """radius, h and rim extras: None, or up to 600 angles in [-10, 10],
+    some at uniform rim angles or a quarter spacing off them, where
+    _boundary_angles decides whether to evict the uniform sample."""
+    radius = draw(st.floats(0.5, 3.0))
+    h = draw(st.floats(0.02, 2.0))
+    if draw(st.booleans()):
+        return radius, h, None
+    spacing = TWO_PI / max(16, int(round(TWO_PI * radius / h)))
+    free = st.floats(-10.0, 10.0)
+    snapped = st.builds(
+        lambda k, off: k * spacing + off * spacing,
+        st.integers(-200, 200),
+        st.sampled_from([-0.25, 0.0, 0.25]),
+    )
+    return radius, h, draw(st.lists(free | snapped, max_size=600))
+
+
+def assert_matches_reference(radius, h, extras):
+    got = make_disk_mesh(radius, h, extras)
+    want = reference.make_disk_mesh(radius, h, extras)
+    for name in ("vertices", "triangles", "boundary_loop"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.radius == want.radius
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mesh_arguments())
+@example((1.0, 0.05, [0.0, math.pi, TWO_PI, -1e-12]))
+def test_matches_loop_reference(args):
+    assert_matches_reference(*args)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.2])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_matches_loop_reference_on_builtin_corners(name, h):
+    assert_matches_reference(1.0, h, corner_angles(name))

@@ -429,6 +429,53 @@ def _angle_winding(poly: ClosedPolyline, point) -> int:
     return w
 
 
+def _dense_winding(poly: ClosedPolyline, points) -> np.ndarray:
+    """Crossing counts of every segment against every point in one (m, n)
+    broadcast: the reference for winding_number_many's y-sorted runs."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    segs = _segments(poly)
+    if len(segs) == 0:
+        return np.zeros(len(pts), dtype=int)
+    ax, ay = segs[:, 0, 0][:, None], segs[:, 0, 1][:, None]
+    bx, by = segs[:, 1, 0][:, None], segs[:, 1, 1][:, None]
+    px, py = pts[:, 0][None, :], pts[:, 1][None, :]
+    up = (ay <= py) & (by > py)
+    down = (by <= py) & (ay > py)
+    dy = np.where(by == ay, 1.0, by - ay)
+    xi = ax + (py - ay) / dy * (bx - ax)
+    hit = xi > px
+    return (np.sum(up & hit, axis=0) - np.sum(down & hit, axis=0)).astype(int)
+
+
+def assert_winding_matches_dense(poly, points):
+    got = winding_number_many(poly, points)
+    want = _dense_winding(poly, points)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# integer and half-integer points over the integer_polygons box and a
+# margin: many lie at vertex y values, on edges and on vertices
+HALF_INTEGER_GRID = np.stack(
+    np.meshgrid(np.arange(-9, 9.5, 0.5), np.arange(-9, 9.5, 0.5)), axis=-1
+).reshape(-1, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_polygons)
+def test_integer_polygon_winding_matches_dense(v):
+    assert_winding_matches_dense(ClosedPolyline(v), HALF_INTEGER_GRID)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_winding_matches_dense(name):
+    poly = completed_curve(builtin_curve(name), 512)
+    lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
+    rng = np.random.default_rng(7)
+    cells = np.stack(np.meshgrid(np.arange(64), np.arange(64)), axis=-1).reshape(-1, 2)
+    pts = lo + (cells + rng.random(cells.shape)) * (hi - lo) / 64
+    assert_winding_matches_dense(poly, pts)
+
+
 def test_winding_number_square():
     assert winding_number_many(UNIT_SQUARE, [[0.5, 0.5], [1.5, 0.5]]).tolist() == [1, 0]
     assert _angle_winding(UNIT_SQUARE, [0.5, 0.5]) == 1
