@@ -12,10 +12,9 @@ TWO_PI = 2.0 * math.pi
 def triangle_dets(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Twice the signed area of each triangle: det(p1 - p0, p2 - p0) for
     the rows of points indexed by tris, positive when counterclockwise."""
-    p = points[tris]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    x = points[:, 0][tris]
+    y = points[:, 1][tris]
+    return (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
 
 
 def normalize_angle(theta: float) -> float:
@@ -29,13 +28,21 @@ def normalize_angle(theta: float) -> float:
     return t
 
 
+def shoelace_terms(x0, y0, x1, y1):
+    """The shoelace term x0*y1 - y0*x1 of each edge (x0, y0) -> (x1, y1):
+    twice the signed area of the triangle it spans with the origin, each
+    product and the difference rounded once.  A reversed edge gives
+    exactly the negated term."""
+    return x0 * y1 - y0 * x1
+
+
 def polygon_signed_area(vertices: np.ndarray) -> float:
     """Signed shoelace area of a closed vertex loop.
 
     Accepts the loop with or without the repeated last vertex.  Uses
-    math.fsum so the result is the correctly rounded value of the exact
-    term sum: cyclic rotations and reversals of the loop give bitwise
-    consistent areas.
+    math.fsum, so the result is the correctly rounded sum of the rounded
+    shoelace terms (not of the exact ones): cyclic rotations and
+    reversals of the loop give bitwise consistent areas.
     """
     v = np.asarray(vertices, dtype=float)
     if len(v) >= 2 and np.array_equal(v[0], v[-1]):
@@ -43,5 +50,5 @@ def polygon_signed_area(vertices: np.ndarray) -> float:
     if len(v) < 3:
         return 0.0
     nxt = np.roll(v, -1, axis=0)
-    terms = v[:, 0] * nxt[:, 1] - v[:, 1] * nxt[:, 0]
+    terms = shoelace_terms(v[:, 0], v[:, 1], nxt[:, 0], nxt[:, 1])
     return 0.5 * math.fsum(terms.tolist())

@@ -5,7 +5,11 @@ stitched by a stable merge of their sorted "next angle" sequences (the
 triangles a cyclic two-pointer walk around the band would make), so
 rings of unequal size produce a conforming band with no hanging nodes.
 The outer ring can absorb a caller-supplied set of mandatory boundary
-angles (nearby uniform samples are dropped to avoid slivers).
+angles (nearby uniform samples are dropped to avoid slivers).  Each
+uniform sample is measured against four extras only: its two neighbours,
+found by binary search, and the first and last, which cover the wrap at
+2*pi.  The nearest extra round the circle is among them, so the rim takes
+O(n log e) time and O(n) memory for n samples and e extras.
 """
 
 from __future__ import annotations
@@ -53,9 +57,18 @@ def _boundary_angles(r: float, h: float, extras) -> np.ndarray:
     if len(ex) > 1 and (TWO_PI - (ex[-1] - ex[0])) <= 1e-9:
         ex = ex[:-1]
     spacing = TWO_PI / n
-    d = np.abs(base[:, None] - ex[None, :])
+    # the circular distance min(d, 2*pi - d) to the nearest extra, with
+    # d = |base - extra|: rounded differences are monotone in the extra, so
+    # the least d is at the extra just below or above the sample and the
+    # greatest at the first or last extra
+    i = np.searchsorted(ex, base)
+    last = len(ex) - 1
+    k = np.stack(
+        [np.maximum(i - 1, 0), np.minimum(i, last), np.zeros_like(i), np.full_like(i, last)]
+    )
+    d = np.abs(base - ex[k])
     d = np.minimum(d, TWO_PI - d)
-    mask = np.min(d, axis=1) > 0.25 * spacing
+    mask = np.min(d, axis=0) > 0.25 * spacing
     return np.sort(np.concatenate([base[mask], ex]))
 
 

@@ -148,19 +148,20 @@ def _energy_grad(values, tris, det_s, delta, grad_out):
     """E_delta and its gradient (into grad_out), plus E0 of the same values
     (a plain sum; jacobian_tv gives the correctly rounded one)."""
     n = len(values)
-    p = values[tris]
-    e0 = p[:, 2] - p[:, 1]
-    e1 = p[:, 0] - p[:, 2]
-    e2 = p[:, 1] - p[:, 0]
-    det = e2[:, 0] * (-e1[:, 1]) - e2[:, 1] * (-e1[:, 0])
+    x = values[:, 0][tris]
+    y = values[:, 1][tris]
+    # the edge opposite each corner k, as x and y components
+    ex = (x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0])
+    ey = (y[:, 2] - y[:, 1], y[:, 0] - y[:, 2], y[:, 1] - y[:, 0])
+    det = ex[2] * (-ey[1]) - ey[2] * (-ex[1])
     root = np.sqrt(det * det + (delta * det_s) ** 2)
     energy = 0.5 * float(np.sum(root))
     w = 0.5 * det / np.maximum(root, 1e-300)
     grad_out[:] = 0.0
-    for k, e in ((0, e0), (1, e1), (2, e2)):
+    for k in range(3):
         idx = tris[:, k]
-        grad_out[:, 0] += np.bincount(idx, weights=-e[:, 1] * w, minlength=n)
-        grad_out[:, 1] += np.bincount(idx, weights=e[:, 0] * w, minlength=n)
+        grad_out[:, 0] += np.bincount(idx, weights=-ey[k] * w, minlength=n)
+        grad_out[:, 1] += np.bincount(idx, weights=ex[k] * w, minlength=n)
     return energy, 0.5 * float(np.sum(np.abs(det)))
 
 

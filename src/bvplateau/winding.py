@@ -4,20 +4,22 @@ The winding area integral(|deg(u, y)|) dy is computed exactly by building
 the planar arrangement induced by the (possibly self-intersecting)
 polyline: split segments at pairwise intersections, merge coincident
 endpoints, trace faces of the half-edge structure, then propagate integer
-winding numbers from the unbounded face across edges.  Face areas come
-from compensated shoelace sums, so polygons with exactly representable
-vertices get exactly representable areas.
+winding numbers from the unbounded face across edges.  Twice a face's
+area is the math.fsum of its half-edges' shoelace terms: the correctly
+rounded sum of the rounded terms, so a face whose terms are exact (small
+integer vertices, say) gets its exact area.
 
-The arrangement is built with array operations throughout, the face walk
-and the winding propagation excepted.  Only segment pairs whose slightly
-inflated bounding boxes overlap, found by a sort and sweep, are tested
-for intersection.  The inflation provably covers every pair the
-intersection test can accept (see _candidate_pairs), so the cuts, and
-hence the areas, are those of the all-pairs test.  That test writes its
-dot and cross products out as x0*y0 + x1*y1, so its results do not depend
-on the BLAS build.  Cut points are merged as a sequential first-seen
-snapper merges them; a sweep shows when that is a plain exact
-deduplication (see _snap).
+The arrangement is built with array operations throughout, except for
+three Python loops over half-edges: the face walk, one math.fsum per face
+over the shoelace terms (formed as one array), and the winding
+propagation.  Only segment pairs whose slightly inflated bounding boxes
+overlap, found by a sort and sweep, are tested for intersection.  The
+inflation provably covers every pair the intersection test can accept
+(see _candidate_pairs), so the cuts, and hence the areas, are those of
+the all-pairs test.  That test writes its dot and cross products out as
+x0*y0 + x1*y1, so its results do not depend on the BLAS build.  Cut
+points are merged as a sequential first-seen snapper merges them; a sweep
+shows when that is a plain exact deduplication (see _snap).
 
 A Monte Carlo cross-check on a jittered stratified grid, sampled once,
 is provided as an independent estimator with a standard error.  Its
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ClosedPolyline
-from .geometry import polygon_signed_area
+from .geometry import shoelace_terms
 
 
 class ArrangementError(RuntimeError):
@@ -312,7 +314,8 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
     vertices stay exact.  Half-edges around each vertex are ordered by
     angle, and those at one angle (overlapping edges) by half-edge index,
     on every numpy build; faces are their next-edge cycles, starting from
-    the lowest half-edge of each, with compensated shoelace areas.
+    the lowest half-edge of each, with areas from math.fsum over their
+    half-edges' shoelace terms, as polygon_signed_area of the cycle.
     Winding numbers spread from the unbounded face across edges weighted
     by how often the chain runs along them in each direction.
     """
@@ -371,7 +374,6 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
     dest = np.stack([hi, lo], axis=1).ravel()
     weight = np.stack([net, -net], axis=1).ravel().tolist()
     n_he = len(origin)
-    twin = np.arange(n_he) ^ 1
 
     # rings: the half-edges leaving each vertex, by angle; lexsort is
     # stable, so half-edges at one angle (overlapping edges) keep index order
@@ -384,7 +386,7 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
     pos[ring] = np.arange(n_he)
     # the next half-edge of h leaves dest[h] just clockwise of h's twin
     first = start[dest]
-    nxt = ring[first + (pos[twin] - first - 1) % degree[dest]].tolist()
+    nxt = ring[first + (pos[np.arange(n_he) ^ 1] - first - 1) % degree[dest]].tolist()
 
     face_of = [-1] * n_he
     cycles: list[list[int]] = []
@@ -402,7 +404,11 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
             raise ArrangementError("face walk did not close on its start")
         cycles.append(walk)
 
-    areas = [polygon_signed_area(verts[origin[walk]]) for walk in cycles]
+    # the shoelace terms polygon_signed_area forms for a face's vertex
+    # loop are those of its half-edges
+    x, y = verts[:, 0], verts[:, 1]
+    terms = shoelace_terms(x[origin], y[origin], x[dest], y[dest]).tolist()
+    areas = [0.5 * math.fsum([terms[h] for h in walk]) for walk in cycles]
     if abs(math.fsum(areas)) > 1e-9 * scale * scale:
         raise ArrangementError(f"face areas sum to {math.fsum(areas)!r}, expected 0")
 
@@ -418,7 +424,7 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
     while queue:
         f = queue.pop()
         for h in cycles[f]:
-            g = face_of[twin[h]]
+            g = face_of[h ^ 1]
             w = winding[f] - weight[h]
             if winding[g] is None:
                 winding[g] = w

@@ -1,8 +1,10 @@
 """Loop reference for meshing.make_disk_mesh.
 
 The two-pointer band stitch and the mesh builder that collects vertices
-and triangles one Python row at a time.  The tests require
-make_disk_mesh to return exactly what this module returns.
+and triangles one Python row at a time, and the rim angles from the full
+(uniform samples x extras) distance matrix.  The tests require
+make_disk_mesh and meshing._boundary_angles to return exactly what this
+module returns.
 """
 
 from __future__ import annotations
@@ -10,7 +12,26 @@ from __future__ import annotations
 import numpy as np
 
 from bvplateau.geometry import TWO_PI, triangle_dets
-from bvplateau.meshing import TriMesh, _boundary_angles, _ring_angles
+from bvplateau.meshing import TriMesh, _ring_angles
+
+
+def _boundary_angles(r: float, h: float, extras) -> np.ndarray:
+    n = max(16, int(round(TWO_PI * r / h)))
+    base = _ring_angles(n)
+    if extras is None:
+        return base
+    ex = np.unique(np.mod(np.asarray(extras, dtype=float), TWO_PI))
+    if len(ex) == 0:
+        return base
+    keep = np.concatenate([[True], np.diff(ex) > 1e-9])
+    ex = ex[keep]
+    if len(ex) > 1 and (TWO_PI - (ex[-1] - ex[0])) <= 1e-9:
+        ex = ex[:-1]
+    spacing = TWO_PI / n
+    d = np.abs(base[:, None] - ex[None, :])
+    d = np.minimum(d, TWO_PI - d)
+    mask = np.min(d, axis=1) > 0.25 * spacing
+    return np.sort(np.concatenate([base[mask], ex]))
 
 
 def _band(ang_a, ids_a, ang_b, ids_b) -> list[tuple[int, int, int]]:

@@ -1,6 +1,7 @@
 """Disk mesh structure: conformity, orientation, quality, boundary control."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from bvplateau import completed_curve
 from bvplateau.curveio import BUILTIN_NAMES, builtin_curve
 from bvplateau.geometry import polygon_signed_area, triangle_dets
-from bvplateau.meshing import make_disk_mesh
+from bvplateau.meshing import _boundary_angles, _ring_angles, make_disk_mesh
 
 TWO_PI = 2 * math.pi
 
@@ -169,3 +170,71 @@ def test_matches_loop_reference(args):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_matches_loop_reference_on_builtin_corners(name, h):
     assert_matches_reference(1.0, h, corner_angles(name))
+
+
+# ---------------------------------------------------------------------------
+# rim angles against the distance-matrix reference
+
+
+@st.composite
+def rim_arguments(draw):
+    """r, h and rim extras that probe the eviction rule: uniform rim
+    angles, a quarter spacing off them and one ulp either side of that,
+    angles near 0 and near 2*pi, repeats, and optionally a random batch
+    of up to three times as many extras as uniform samples."""
+    r = draw(st.floats(0.5, 3.0))
+    h = draw(st.floats(0.05, 2.0))
+    n = max(16, int(round(TWO_PI * r / h)))
+    base = _ring_angles(n)
+    spacing = TWO_PI / n
+
+    def probe(k, off, ulps):
+        x = base[k % n] + off * spacing
+        for _ in range(abs(ulps)):
+            x = np.nextafter(x, math.copysign(math.inf, ulps))
+        return float(x) + TWO_PI * (k // n)
+
+    probes = st.builds(
+        probe,
+        st.integers(-2 * n, 2 * n),
+        st.sampled_from([-0.25, 0.0, 0.25]),
+        st.integers(-1, 1),
+    )
+    edges = st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12, TWO_PI, math.nextafter(TWO_PI, 0.0),
+         TWO_PI - 1e-12, -0.25 * spacing, TWO_PI - 0.25 * spacing, 0.25 * spacing]
+    )
+    extras = draw(st.lists(probes | edges | st.floats(-10.0, 10.0), min_size=1, max_size=40))
+    extras += draw(st.lists(st.sampled_from(extras), max_size=5))  # repeats
+    batch = draw(st.integers(0, 3 * n))
+    if draw(st.booleans()) and batch:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        extras += rng.uniform(-1.0, 7.0, batch).tolist()
+    return r, h, draw(st.permutations(extras))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rim_arguments())
+@example((1.0, 0.05, [0.25 * TWO_PI / 126]))
+@example((1.0, 0.05, [math.nextafter(TWO_PI, 0.0)]))
+@example((1.0, 0.05, [TWO_PI - 0.25 * TWO_PI / 126, 0.25 * TWO_PI / 126]))
+def test_boundary_angles_match_distance_matrix(args):
+    got = _boundary_angles(*args)
+    want = reference._boundary_angles(*args)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_boundary_angles_memory_is_linear():
+    # a work count, not a timing: the (samples x extras) distance matrix
+    # would take n * e * 8 bytes, 104 MB here, several times over
+    n = e = 3600
+    extras = (np.arange(e) + 0.5) * (TWO_PI / e)
+    tracemalloc.start()
+    try:
+        angles = _boundary_angles(1.0, TWO_PI / n, extras)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(angles) == n + e
+    assert peak <= 64 * 8 * (n + e)

@@ -10,10 +10,11 @@ import math
 
 import numpy as np
 import pytest
+import reference_plateau as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvplateau import ClosedPolyline, completed_curve
+from bvplateau import ClosedPolyline, completed_curve, plateau
 from bvplateau.curveio import builtin_curve, constant_curve
 from bvplateau.curves import evaluate_many, mollify_sequence
 from bvplateau.geometry import triangle_dets
@@ -203,13 +204,18 @@ def test_bracket_valid_and_closed_on_star_polygons(poly):
     assert cert.upper - cert.lower <= 2 * BRACKET_RTOL * max(cert.lower, scale2)
 
 
+# polygon 6 of the rng(3) draw: its winding area, 0.457, is well below the
+# minimum over the mesh_h = 0.2 mesh, 0.625, so the bracket never closes
+RNG3_POLYGON = np.array([[-2, 7], [0, -2], [-6, -5], [3, 5], [-4, 2], [6, -6], [-4, 0]]) / 8
+
+
 def test_bracket_rule_does_not_change_under_translation():
-    # polygon 6 of the rng(3) draw: its winding area, 0.457, is well below
-    # the mesh minimum, 0.625; the bracket tolerance follows the rim's
-    # extent, so a far translate must not close the bracket at the start
-    v = np.array([[-2, 7], [0, -2], [-6, -5], [3, 5], [-4, 2], [6, -6], [-4, 0]]) / 8
+    # the bracket tolerance follows the rim's extent, so a far translate
+    # must not close the bracket at the start
     opts = PlateauOptions(mesh_h=0.2, max_iters=200)
-    certs = [plateau_value(ClosedPolyline(v + offset), opts) for offset in (0.0, 2.0**20)]
+    certs = [
+        plateau_value(ClosedPolyline(RNG3_POLYGON + offset), opts) for offset in (0.0, 2.0**20)
+    ]
     for cert in certs:
         assert not (cert.termination == "bracket_closed" and cert.gap_flag)
     assert certs[0].termination == certs[1].termination
@@ -235,3 +241,59 @@ def test_stationary_stop_without_lower_bound():
 def test_options_reject_bad_delta_schedule(schedule):
     with pytest.raises(ValueError):
         PlateauOptions(delta_schedule=schedule)
+
+
+# ---------------------------------------------------------------------------
+# column gathers against the block-gather reference
+
+
+def degenerate_values(mesh, rng, scale):
+    """Random values, integer-valued for some scales so that some dets
+    are exactly zero, with one triangle's corners collinear."""
+    values = rng.normal(scale=scale, size=(mesh.n_vertices, 2))
+    if scale >= 1.0:
+        values = np.round(values)
+    a, b, c = mesh.triangles[len(mesh.triangles) // 2]
+    values[c] = 2.0 * values[b] - values[a]
+    return values
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 0.2, 0.1]),
+       st.sampled_from([1e-3, 0.7, 4.0]))
+def test_gathers_match_block_reference(seed, h, scale):
+    rng = np.random.default_rng(seed)
+    mesh = make_disk_mesh(1.0, h, rng.uniform(0.0, 2 * math.pi, 7))
+    tris = mesh.triangles.copy()
+    tris[0, 1] = tris[0, 0]  # a repeated corner
+    values = degenerate_values(mesh, rng, scale)
+    for points in (mesh.vertices, values):
+        got = triangle_dets(points, tris)
+        want = reference.triangle_dets(points, tris)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(triangle_dets(values, tris)[:1], [0.0])
+    det_s = triangle_dets(mesh.vertices, tris)
+    for delta in (1e-1, 1e-4):
+        grad, grad_ref = np.zeros_like(values), np.zeros_like(values)
+        got = _energy_grad(values, tris, det_s, delta, grad)
+        want = reference._energy_grad(values, tris, det_s, delta, grad_ref)
+        assert got == want
+        assert grad.tobytes() == grad_ref.tobytes()
+
+
+def test_minimizer_steps_match_block_reference(monkeypatch):
+    # runs every stage of the schedule: two to max_iters, two stationary
+    poly = ClosedPolyline(RNG3_POLYGON)
+    opts = PlateauOptions(mesh_h=0.2, max_iters=300)
+    start = _datum_start(poly, opts.mesh_h)
+    lower = winding_area(poly)
+    got = jacobian_tv_minimize(start.mesh, start.values, opts, lower)
+    monkeypatch.setattr(plateau, "_energy_grad", reference._energy_grad)
+    monkeypatch.setattr(plateau, "triangle_dets", reference.triangle_dets)
+    want = jacobian_tv_minimize(start.mesh, start.values, opts, lower)
+    assert got.iterations == want.iterations > 300
+    assert got.terminations == want.terminations
+    assert (got.energy, got.grad_norm, got.stages, got.converged) == (
+        want.energy, want.grad_norm, want.stages, want.converged
+    )
+    assert got.dmap.values.tobytes() == want.dmap.values.tobytes()
