@@ -12,11 +12,16 @@ Curve files are JSON: {"pieces": [...]} where each piece is either
    "cantor": same shape as "ac"}                            # optional
 
   {"type": "jump", "theta": t, "left": [x, y], "right": [x, y]}
+
+A mass profile is its samples on a uniform grid over the arc; "linear" is
+shorthand for the two samples [0, m], and an omitted profile is [0, 0].
+Every number must be finite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +57,13 @@ def _need(obj: dict, key: str, where: str):
 def _num(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise CurveFormatError(f"{where}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise CurveFormatError(f"{where}: expected a finite number, got {v!r}")
+    return x
 
 
 def _pt(v, where: str) -> np.ndarray:
@@ -154,11 +165,11 @@ def _dump_path(path) -> dict:
 
 
 def _dump_mass(mass: CumulativeVariation):
-    if mass.kind == "linear":
-        if mass.total == 0.0:
-            return None
-        return {"kind": "linear", "total": mass.total}
-    return {"kind": "sampled", "samples": np.asarray(mass.samples).tolist()}
+    if len(mass.samples) > 2:
+        return {"kind": "sampled", "samples": mass.samples.tolist()}
+    if mass.total == 0.0:
+        return None
+    return {"kind": "linear", "total": mass.total}
 
 
 def dump_curve(curve: Curve) -> dict:

@@ -16,8 +16,8 @@ curve is completed to a polyline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Union
+from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -45,79 +45,69 @@ class CurveValidationError(ValueError):
 class CumulativeVariation:
     """Nondecreasing mass profile over an arc's angle interval.
 
-    `kind` is "linear" (profile total * x) or "sampled" (piecewise linear
-    through `samples` on a uniform grid over the interval; samples start at
-    0 and end at `total`).  The argument x is the relative position in
-    [0, 1] within the arc's angle interval.
+    Piecewise linear through `samples` on a uniform grid over [0, 1], the
+    relative position within the arc's angle interval; the samples start
+    at 0 and end at `total`.  A linear profile total * x is the two
+    samples [0, total] (the curve-file kind "linear" is shorthand for it).
     """
 
-    kind: Literal["linear", "sampled"]
-    total: float
-    samples: np.ndarray | None = None
+    samples: np.ndarray
+    total: float = field(init=False)
+
+    def __post_init__(self):
+        s = np.asarray(self.samples, dtype=float).reshape(-1)
+        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "total", float(s[-1]) if len(s) else math.nan)
+        object.__setattr__(self, "_grid", np.linspace(0.0, 1.0, len(s)))
 
     def value_at(self, x):
-        x = np.clip(x, 0.0, 1.0)
-        if self.kind == "linear":
-            return self.total * x
-        grid = np.linspace(0.0, 1.0, len(self.samples))
-        return np.interp(x, grid, self.samples)
+        return np.interp(np.clip(x, 0.0, 1.0), self._grid, self.samples)
 
     def density_cells(self):
-        """(relative cell edges, per-cell density * width-normalised).
+        """(relative cell edges in [0, 1], mass per cell).
 
-        Returns (edges in [0,1], masses per cell).  The profile is exactly
-        piecewise linear, so the density is exactly piecewise constant.
+        The profile is exactly piecewise linear, so the density is exactly
+        piecewise constant.
         """
-        if self.kind == "linear":
-            return np.array([0.0, 1.0]), np.array([self.total])
-        edges = np.linspace(0.0, 1.0, len(self.samples))
-        return edges, np.diff(np.asarray(self.samples, dtype=float))
+        return self._grid, np.diff(self.samples)
 
     def check(self, where: str) -> None:
-        if self.kind == "linear":
-            if self.samples is not None:
-                raise CurveValidationError(
-                    "cumulative-samples", f"{where}: linear cumulative carries samples"
-                )
-            if not (self.total >= 0.0):
-                raise CurveValidationError(
-                    "negative-mass", f"{where}: total {self.total!r} is negative"
-                )
-            return
-        if self.kind != "sampled":
-            raise CurveValidationError("cumulative-kind", f"{where}: {self.kind!r}")
         s = self.samples
-        if s is None or len(s) < 2:
+        if len(s) < 2:
             raise CurveValidationError(
-                "cumulative-samples", f"{where}: sampled cumulative needs >= 2 samples"
+                "cumulative-samples", f"{where}: a profile needs >= 2 samples"
             )
         if s[0] != 0.0:
             raise CurveValidationError(
-                "cumulative-samples", f"{where}: samples must start at 0, got {s[0]!r}"
+                "cumulative-samples", f"{where}: samples must start at 0, got {float(s[0])!r}"
             )
-        if s[-1] != self.total:
-            raise CurveValidationError(
-                "cumulative-samples",
-                f"{where}: last sample {s[-1]!r} != total {self.total!r}",
-            )
-        if np.any(np.diff(s) < 0.0):
-            i = int(np.argmax(np.diff(s) < 0.0))
+        steps = s[1:] - s[:-1]
+        if not steps.min() >= 0.0:  # NaN fails too
+            i = int(np.argmax(~(steps >= 0.0)))
             raise CurveValidationError(
                 "nonmonotone-cumulative",
-                f"{where}: samples decrease at index {i} ({s[i]!r} -> {s[i + 1]!r})",
+                f"{where}: samples decrease at index {i} "
+                f"({float(s[i])!r} -> {float(s[i + 1])!r})",
             )
 
 
 def linear_mass(total: float) -> CumulativeVariation:
-    return CumulativeVariation("linear", float(total))
+    return CumulativeVariation(np.array([0.0, total]))
 
 
 def sampled_mass(samples) -> CumulativeVariation:
-    s = np.asarray(samples, dtype=float)
-    return CumulativeVariation("sampled", float(s[-1]), s)
+    return CumulativeVariation(samples)
 
 
 ZERO_MASS = linear_mass(0.0)
+
+
+def _resampled(vals: np.ndarray, total: float) -> CumulativeVariation:
+    """Profile through vals (a fresh array) with its ends pinned to 0 and
+    total, made nondecreasing."""
+    vals[0] = 0.0
+    vals[-1] = total
+    return CumulativeVariation(np.maximum.accumulate(vals))
 
 
 def _restrict_cumulative(
@@ -125,16 +115,13 @@ def _restrict_cumulative(
 ) -> CumulativeVariation:
     lo = float(c.value_at(x0))
     hi = float(c.value_at(x1))
-    if c.kind == "linear":
-        return linear_mass(hi - lo)
     if hi - lo == 0.0:
         return ZERO_MASS
-    n_cells = max(8, int(math.ceil((len(c.samples) - 1) * (x1 - x0))))
-    xs = np.linspace(x0, x1, n_cells + 1)
-    vals = np.asarray(c.value_at(xs), dtype=float) - lo
-    vals[0] = 0.0
-    vals[-1] = hi - lo
-    return sampled_mass(np.maximum.accumulate(vals))
+    # one cell restricts exactly; finer profiles get at least 8 cells
+    cells = len(c.samples) - 1
+    if cells > 1:
+        cells = max(8, int(math.ceil(cells * (x1 - x0))))
+    return _resampled(c.value_at(np.linspace(x0, x1, cells + 1)) - lo, hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +233,9 @@ class PointPath:
         return self.at
 
     def point_at_arclength(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.broadcast_to(self.at, s.shape + (2,)).copy()
+        out = np.empty(np.shape(s) + (2,))
+        out[...] = self.at
+        return out
 
     def sample_arclengths(self, n: int) -> np.ndarray:
         return np.array([0.0])
@@ -312,6 +300,9 @@ class Arc:
 
 @dataclass(frozen=True, eq=False)
 class Jump:
+    """Jump at one angle; as a piece it spans [theta, theta] and runs from
+    `left` to `right`."""
+
     theta: float
     left: np.ndarray
     right: np.ndarray
@@ -319,6 +310,22 @@ class Jump:
     def __post_init__(self):
         object.__setattr__(self, "left", np.asarray(self.left, dtype=float))
         object.__setattr__(self, "right", np.asarray(self.right, dtype=float))
+
+    @property
+    def theta0(self) -> float:
+        return self.theta
+
+    @property
+    def theta1(self) -> float:
+        return self.theta
+
+    @property
+    def start_value(self) -> np.ndarray:
+        return self.left
+
+    @property
+    def end_value(self) -> np.ndarray:
+        return self.right
 
     @property
     def size(self) -> float:
@@ -342,20 +349,6 @@ class Curve:
     @property
     def jumps(self) -> list[Jump]:
         return [p for p in self.pieces if isinstance(p, Jump)]
-
-    def scale(self) -> float:
-        """Rough trace extent, for relative tolerances."""
-        pts = []
-        for p in self.pieces:
-            if isinstance(p, Arc):
-                pts.append(np.asarray(p.start_value))
-                pts.append(np.asarray(p.end_value))
-            else:
-                pts.append(p.left)
-                pts.append(p.right)
-        pts = np.asarray(pts)
-        ext = pts.max(axis=0) - pts.min(axis=0)
-        return max(1.0, float(ext.max()))
 
 
 @dataclass(frozen=True)
@@ -385,8 +378,7 @@ class _Layout:
 
 
 def _layout(curve: Curve) -> _Layout:
-    first = curve.pieces[0]
-    base = normalize_angle(first.theta0 if isinstance(first, Arc) else first.theta)
+    base = normalize_angle(curve.pieces[0].theta0)
     pos = base
     arcs, starts, ends, jumps = [], [], [], []
     for p in curve.pieces:
@@ -415,16 +407,21 @@ def validate(curve: Curve) -> Curve:
     """Check structure and return the curve with its closure gap recorded.
 
     Raises CurveValidationError on: empty piece list, nonpositive arc
-    widths, tiling failure, zero-length jumps, adjacent jumps, nonmonotone
-    or inconsistent cumulatives, arc mass differing from the geometric path
-    length, and trace discontinuities at internal boundaries.
+    widths, tiling failure, zero-length jumps, adjacent jumps, profiles
+    with fewer than 2 samples, a first sample other than 0 or a decrease
+    (a negative "linear" total is a decreasing profile [0, m]), arc mass
+    differing from the geometric path length, and trace discontinuities at
+    internal boundaries.
     """
     pieces = tuple(curve.pieces)
     if not pieces:
         raise CurveValidationError("empty", "curve has no pieces")
 
-    scale = Curve(pieces).scale()
-    point_tol = REL_TOL * scale
+    # ends[i] = (start value, end value) of piece i; the tolerance scales
+    # with their extent
+    ends = np.array([(p.start_value, p.end_value) for p in pieces])
+    pts = ends.reshape(-1, 2)
+    point_tol = REL_TOL * max(1.0, float((pts.max(axis=0) - pts.min(axis=0)).max()))
 
     width_sum = 0.0
     for i, p in enumerate(pieces):
@@ -464,35 +461,27 @@ def validate(curve: Curve) -> Curve:
 
     # angle continuity around the circle, including last -> first
     for i, p in enumerate(pieces):
-        q = pieces[(i + 1) % len(pieces)]
-        end = p.theta1 if isinstance(p, Arc) else p.theta
-        start = q.theta0 if isinstance(q, Arc) else q.theta
-        d = abs(normalize_angle(start) - normalize_angle(end))
+        j = (i + 1) % len(pieces)
+        d = abs(normalize_angle(pieces[j].theta0) - normalize_angle(p.theta1))
         if min(d, TWO_PI - d) > ANGLE_TOL:
             raise CurveValidationError(
                 "tiling",
-                f"piece {i} ends at angle {end!r} but piece "
-                f"{(i + 1) % len(pieces)} starts at {start!r}",
+                f"piece {i} ends at angle {p.theta1!r} but piece {j} starts at "
+                f"{pieces[j].theta0!r}",
             )
-
-    def end_value(i: int) -> np.ndarray:
-        p = pieces[i]
-        return np.asarray(p.end_value if isinstance(p, Arc) else p.right)
-
-    def next_start(i: int) -> np.ndarray:
-        q = pieces[(i + 1) % len(pieces)]
-        return np.asarray(q.start_value if isinstance(q, Arc) else q.left)
 
     # trace continuity at internal boundaries; the closing boundary may
     # carry a gap (recorded, not an error)
-    for i in range(len(pieces) - 1):
-        gap = float(np.hypot(*(next_start(i) - end_value(i))))
-        if gap > point_tol:
-            raise CurveValidationError(
-                "trace-discontinuity",
-                f"pieces {i} -> {i + 1}: endpoint gap {gap!r} with no declared jump",
-            )
-    closure = float(np.hypot(*(next_start(len(pieces) - 1) - end_value(len(pieces) - 1))))
+    step = ends[1:, 0] - ends[:-1, 1]
+    gaps = np.hypot(step[:, 0], step[:, 1])
+    bad = np.flatnonzero(gaps > point_tol)
+    if len(bad):
+        i = int(bad[0])
+        raise CurveValidationError(
+            "trace-discontinuity",
+            f"pieces {i} -> {i + 1}: endpoint gap {float(gaps[i])!r} with no declared jump",
+        )
+    closure = float(np.hypot(*(ends[0, 0] - ends[-1, 1])))
     if closure <= point_tol:
         closure = 0.0
     return Curve(pieces, closure_gap=closure)
@@ -578,40 +567,31 @@ def completed_curve(curve: Curve, n_vertices: int = 256) -> ClosedPolyline:
     """
     if n_vertices < 2:
         raise ValueError("n_vertices must be >= 2")
-    render: list[tuple[str, object, float]] = []
-    for p in curve.pieces:
-        if isinstance(p, Arc):
-            render.append(("arc", p, p.mass))
-        else:
-            render.append(("seg", (p.left, p.right), p.size))
+    # arcs, and chords (start, end) for the jumps and any closure gap
+    render: list[tuple[Arc | tuple, float]] = [
+        (p, p.mass) if isinstance(p, Arc) else ((p.left, p.right), p.size) for p in curve.pieces
+    ]
     if curve.closure_gap > 0.0:
-        last = curve.pieces[-1]
-        last_end = np.asarray(last.end_value if isinstance(last, Arc) else last.right)
-        first = curve.pieces[0]
-        first_start = np.asarray(
-            first.start_value if isinstance(first, Arc) else first.left
-        )
-        render.append(("seg", (last_end, first_start), curve.closure_gap))
+        render.append(((curve.pieces[-1].end_value, curve.pieces[0].start_value), curve.closure_gap))
 
-    total = math.fsum(m for _, _, m in render)
+    total = math.fsum(m for _, m in render)
     if total == 0.0:
-        p0 = render[0][1].start_value if render[0][0] == "arc" else render[0][1][0]
+        p0 = curve.pieces[0].start_value
         return ClosedPolyline(np.array([p0, p0]))
 
     chunks: list[np.ndarray] = []
-    for kind, obj, mass in render:
+    for obj, mass in render:
         if mass == 0.0:
-            if kind == "arc":
-                chunks.append(np.asarray(obj.start_value).reshape(1, 2))
+            if isinstance(obj, Arc):
+                chunks.append(obj.start_value.reshape(1, 2))
             continue
         budget = max(2, int(math.ceil(n_vertices * mass / total)))
-        if kind == "arc":
-            svals = obj.path.sample_arclengths(budget)
-            chunks.append(obj.path.point_at_arclength(svals))
+        if isinstance(obj, Arc):
+            chunks.append(obj.path.point_at_arclength(obj.path.sample_arclengths(budget)))
         else:
             a, b = obj
             t = np.linspace(0.0, 1.0, budget)[:, None]
-            chunks.append((1.0 - t) * np.asarray(a) + t * np.asarray(b))
+            chunks.append((1.0 - t) * a + t * b)
 
     # drop each vertex equal to the one before it; ClosedPolyline closes the loop
     v = np.concatenate(chunks)
@@ -625,14 +605,10 @@ def completed_curve(curve: Curve, n_vertices: int = 256) -> ClosedPolyline:
 
 
 def _pl_interpolant(c: CumulativeVariation, cells: int) -> CumulativeVariation:
-    # a profile is already piecewise linear on its own grid (one cell when
-    # linear), so finer grids than that would only cost memory
-    cells = 1 if c.kind == "linear" else min(cells, len(c.samples) - 1)
-    xs = np.linspace(0.0, 1.0, cells + 1)
-    vals = np.asarray(c.value_at(xs), dtype=float)
-    vals[0] = 0.0
-    vals[-1] = c.total
-    return sampled_mass(np.maximum.accumulate(vals))
+    # a profile is already piecewise linear on its own grid, so finer grids
+    # than that would only cost memory
+    cells = min(cells, len(c.samples) - 1)
+    return _resampled(c.value_at(np.linspace(0.0, 1.0, cells + 1)), c.total)
 
 
 def _combine_ac(ac: CumulativeVariation, cantor: CumulativeVariation, cells: int):
@@ -640,16 +616,8 @@ def _combine_ac(ac: CumulativeVariation, cantor: CumulativeVariation, cells: int
     if cantor.total == 0.0:
         return ac
     cantor_pl = _pl_interpolant(cantor, cells)
-    n = len(cantor_pl.samples) - 1
-    if ac.kind == "sampled":
-        n = max(n, len(ac.samples) - 1)
-    xs = np.linspace(0.0, 1.0, n + 1)
-    vals = np.asarray(ac.value_at(xs), dtype=float) + np.asarray(
-        cantor_pl.value_at(xs), dtype=float
-    )
-    vals[0] = 0.0
-    vals[-1] = ac.total + cantor_pl.total
-    return sampled_mass(np.maximum.accumulate(vals))
+    xs = np.linspace(0.0, 1.0, max(len(cantor_pl.samples), len(ac.samples)))
+    return _resampled(ac.value_at(xs) + cantor_pl.value_at(xs), ac.total + cantor_pl.total)
 
 
 def _recut_inside_arc(curve: Curve) -> Curve:

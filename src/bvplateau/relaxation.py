@@ -88,7 +88,7 @@ def minimize_for_profile(
     and the one a recovery gluing needs.  The lower end of the bracket is
     the winding area of the rim polygon.
     """
-    extras = [p.theta0 for p in curve.arcs] + [p.theta for p in curve.jumps]
+    extras = [p.theta0 for p in curve.pieces]
     start = _radial_start(lambda ang: evaluate_many(curve, ang), extras, origin_value(curve),
                           options.mesh_h)
     rim = ClosedPolyline(start.values[start.mesh.boundary_loop])

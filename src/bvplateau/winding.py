@@ -470,7 +470,11 @@ def winding_area_grid(
     slightly padded bounding box, drawn once.  The curve has zero area, so
     a sample landing on it cannot bias the estimate and none is re-drawn.
     The standard error treats cells as independent, which is conservative
-    for stratified sampling.
+    for stratified sampling.  It does not cover the pad: the box grows by
+    1e-6 * scale on every side, and when few or no samples land in that
+    thin strip the padded box's area is counted as covered, so the
+    estimate's error can exceed `stderr` by the pad's area.  The unit
+    square at resolution 32 gives 1.000004 with `stderr` 0.0.
     """
     if resolution < 16:
         raise ValueError("resolution must be at least 16")

@@ -1,0 +1,78 @@
+"""Write the CLI output tree of one source checkout, for diffing two trees.
+
+Usage: python tests/output_tree.py SRC OUTDIR
+
+SRC is the `src` directory whose `bvplateau` package runs; OUTDIR receives
+one directory per run, holding what the run wrote plus `exit_code`.  The
+runs are:
+
+  * the seven commands on the four builtins at
+    `--mesh-h 0.2 --ks 2,4,8 --emit-svg`;
+  * `area` and `plateau` on the four builtins at default flags;
+  * the seven commands at `--mesh-h 0.2 --ks 2,4,8`, and `area` at default
+    flags, on 24 curves from `perfbench/gen.py` (6 per family, seed 0).
+
+Every run uses paths relative to OUTDIR, so two trees written from
+different checkouts should be byte-identical: `diff -r A B`.  The script
+runs the CLI in-process and is not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+COMMANDS = ("tv", "complete", "plateau", "area", "tangential", "verify-recovery", "slice-check")
+BUILTINS = ("cantor-arc", "figure-eight", "triple", "vortex")
+FAMILIES = ("sector", "circle", "loop", "cantor")
+SMALL = ["--mesh-h", "0.2", "--ks", "2,4,8"]
+
+
+def _runs():
+    for name in BUILTINS:
+        for cmd in COMMANDS:
+            yield f"builtin-{name}/{cmd}", [cmd, "--builtin", name, *SMALL, "--emit-svg"]
+        for cmd in ("area", "plateau"):
+            yield f"builtin-{name}/{cmd}-default", [cmd, "--builtin", name]
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from gen import make_curve
+
+    rng = random.Random(0)
+    os.makedirs("curves", exist_ok=True)
+    for family in FAMILIES:
+        for i in range(6):
+            spec = make_curve(family, rng, i)["spec"]
+            path = f"curves/{family}-{i}.json"
+            Path(path).write_text(json.dumps(spec, indent=1) + "\n")
+            for cmd in COMMANDS:
+                yield f"{family}-{i}/{cmd}", [cmd, "--curve", path, *SMALL]
+            yield f"{family}-{i}/area-default", ["area", "--curve", path]
+
+
+def main(argv=None) -> int:
+    src, outdir = (argv if argv is not None else sys.argv[1:])
+    sys.path.insert(0, str(Path(src).resolve()))
+    from bvplateau.cli import main as cli_main
+
+    os.makedirs(outdir, exist_ok=True)
+    os.chdir(outdir)
+    failed = 0
+    for run_dir, args in _runs():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli_main([*args, "--out", run_dir])
+        Path(run_dir, "exit_code").write_text(f"{code}\n{err.getvalue()}")
+        failed += code != 0
+    print(f"{failed} runs exited nonzero")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -274,3 +274,28 @@ def test_help_lists_every_command(capsys):
     text = " ".join(capsys.readouterr().out.split())
     for name, help_text in COMMANDS.items():
         assert f" {name} {help_text} " in text + " "
+
+
+@pytest.mark.parametrize("command", ["tv", "complete", "area", "slice-check"])
+@pytest.mark.parametrize(
+    "piece",
+    [
+        # Cantor samples [0, NaN, pi/2] on a quarter circle
+        {"type": "arc", "theta0": 0.0, "theta1": 2 * math.pi,
+         "path": {"kind": "circle_arc", "center": [0, 0], "radius": 1, "phi0": 0,
+                  "phi1": math.pi / 2},
+         "cantor": {"kind": "sampled", "samples": [0, math.nan, math.pi / 2]}},
+        # a polyline through [Infinity, 0] with linear total Infinity
+        {"type": "arc", "theta0": 0.0, "theta1": 2 * math.pi,
+         "path": {"kind": "polyline", "points": [[0, 0], [math.inf, 0]]},
+         "ac": {"kind": "linear", "total": math.inf}},
+    ],
+    ids=["nan-sample", "infinite-point"],
+)
+def test_exit_2_on_non_finite_curve_file(tmp_path, capsys, command, piece):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"pieces": [piece]}))  # writes NaN / Infinity tokens
+    code, out, _ = run(tmp_path, command, "--curve", str(path), "--mesh-h", "0.2")
+    assert code == 2
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not (out / "report.json").exists()

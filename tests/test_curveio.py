@@ -160,3 +160,50 @@ def test_dump_load_roundtrip(curve):
     thetas = np.linspace(0.0, TWO_PI, 97, endpoint=False)
     for side in ("left", "right"):
         assert np.array_equal(evaluate_many(back, thetas, side), evaluate_many(curve, thetas, side))
+
+
+def _quarter_circle_spec():
+    return {"pieces": [{
+        "type": "arc", "theta0": 0.0, "theta1": TWO_PI,
+        "path": {"kind": "circle_arc", "center": [0, 0], "radius": 1, "phi0": 0,
+                 "phi1": math.pi / 2},
+        "cantor": {"kind": "sampled", "samples": [0, math.pi / 4, math.pi / 2]},
+    }]}
+
+
+def _segment_spec():
+    return {"pieces": [{
+        "type": "arc", "theta0": 0.0, "theta1": TWO_PI,
+        "path": {"kind": "polyline", "points": [[0, 0], [1, 0]]},
+        "ac": {"kind": "linear", "total": 1},
+    }]}
+
+
+def _set(obj, keys, value):
+    for k in keys[:-1]:
+        obj = obj[k]
+    obj[keys[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "huge-int"]
+)
+@pytest.mark.parametrize(
+    "spec, keys, where",
+    [
+        (lambda: dump_curve(builtin_curve("triple")), ("pieces", 0, "theta"), "$.pieces[0].theta"),
+        (_segment_spec, ("pieces", 0, "path", "points", 1, 0), "$.pieces[0].path.points[1][0]"),
+        (_quarter_circle_spec, ("pieces", 0, "path", "radius"), "$.pieces[0].path.radius"),
+        (_segment_spec, ("pieces", 0, "ac", "total"), "$.pieces[0].ac.total"),
+        (_quarter_circle_spec, ("pieces", 0, "cantor", "samples", 1),
+         "$.pieces[0].cantor.samples[1]"),
+    ],
+    ids=["theta", "point", "radius", "total", "sample"],
+)
+def test_non_finite_number_is_format_error(spec, keys, where, value):
+    data = spec()
+    parse_curve(data)  # the spec is valid before the edit
+    _set(data, keys, value)
+    with pytest.raises(CurveFormatError, match="expected a finite number") as e:
+        parse_curve(data)
+    assert str(e.value).startswith(where + ":")

@@ -32,7 +32,13 @@ from bvplateau import (
     total_variation,
     validate,
 )
-from bvplateau.curveio import _cantor_samples, builtin_curve, constant_curve
+from bvplateau.curveio import (
+    _cantor_samples,
+    builtin_curve,
+    constant_curve,
+    dump_curve,
+    load_curve,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -189,7 +195,7 @@ def test_validate_point_path_with_mass():
 def test_validate_nonmonotone_cumulative():
     from bvplateau import CumulativeVariation
 
-    bad_mass = CumulativeVariation("sampled", 1.0, np.array([0.0, 0.6, 0.4, 1.0]))
+    bad_mass = CumulativeVariation(np.array([0.0, 0.6, 0.4, 1.0]))
     arc = Arc(0.0, TWO_PI, PolylinePath(np.array([[0, 0], [1, 0]], dtype=float)), bad_mass)
     with pytest.raises(CurveValidationError) as e:
         validate(Curve((arc,)))
@@ -199,7 +205,7 @@ def test_validate_nonmonotone_cumulative():
 def test_validate_sampled_endpoint():
     from bvplateau import CumulativeVariation
 
-    bad_mass = CumulativeVariation("sampled", 1.0, np.array([0.1, 0.5, 1.0]))
+    bad_mass = CumulativeVariation(np.array([0.1, 0.5, 1.0]))
     arc = Arc(0.0, TWO_PI, PolylinePath(np.array([[0, 0], [1, 0]], dtype=float)), bad_mass)
     with pytest.raises(CurveValidationError) as e:
         validate(Curve((arc,)))
@@ -219,6 +225,109 @@ def test_validate_open_trace_allowed():
     seg = PolylinePath(np.array([[0, 0], [1, 0]], dtype=float))
     curve = validate(Curve((Arc(0.0, TWO_PI, seg, linear_mass(1.0)),)))
     assert curve.closure_gap == 1.0
+
+
+def test_validate_negative_linear_total_is_nonmonotone():
+    arc = Arc(0.0, TWO_PI, PolylinePath(np.array([[0, 0], [1, 0]], dtype=float)), linear_mass(-1.0))
+    with pytest.raises(CurveValidationError) as e:
+        validate(Curve((arc,)))
+    assert _kind(e) == "nonmonotone-cumulative"
+    assert str(e.value).endswith("samples decrease at index 0 (0.0 -> -1.0)")
+
+
+def _sectors(values, angles):
+    """Constant sectors at `values`, a jump into each at `angles`."""
+    n = len(values)
+    pieces = []
+    for i in range(n):
+        t1 = angles[i + 1] if i + 1 < n else angles[0] + TWO_PI
+        pieces.append(Jump(angles[i], values[i - 1], values[i]))
+        pieces.append(Arc(angles[i], t1, PointPath(values[i]), ZERO_MASS))
+    return pieces
+
+
+_SECTOR_VALUES = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+_SECTOR_ANGLES = [1.0, 3.0, 5.0]
+
+
+def test_validate_jump_off_its_neighbouring_arc_angle():
+    pieces = _sectors(_SECTOR_VALUES, _SECTOR_ANGLES)
+    validate(Curve(tuple(pieces)))
+    pieces[2] = Jump(3.5, pieces[2].left, pieces[2].right)
+    with pytest.raises(CurveValidationError) as e:
+        validate(Curve(tuple(pieces)))
+    assert _kind(e) == "tiling"
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_validate_jump_value_mismatch(side):
+    pieces = _sectors(_SECTOR_VALUES, _SECTOR_ANGLES)
+    j = pieces[2]
+    left, right = (j.left + 0.5, j.right) if side == "left" else (j.left, j.right + 0.5)
+    pieces[2] = Jump(j.theta, left, right)
+    with pytest.raises(CurveValidationError) as e:
+        validate(Curve(tuple(pieces)))
+    assert _kind(e) == "trace-discontinuity"
+    boundary = "pieces 1 -> 2" if side == "left" else "pieces 2 -> 3"
+    assert boundary in str(e.value)
+
+
+def test_validate_jump_opens_the_piece_list_with_a_gap():
+    # the first jump starts from [0, 4], the last arc ends at [0, 1]
+    pieces = _sectors(_SECTOR_VALUES, _SECTOR_ANGLES)
+    pieces[0] = Jump(pieces[0].theta, [0.0, 4.0], pieces[0].right)
+    curve = validate(Curve(tuple(pieces)))
+    assert curve.closure_gap == 3.0
+    assert completed_curve(curve, 64).length == pytest.approx(
+        total_variation(curve).total + curve.closure_gap, abs=1e-12
+    )
+
+
+def test_validate_jump_closes_the_piece_list_with_a_gap():
+    # rotated so the list ends with a jump whose right value [4, 0] is not
+    # where the first arc starts ([0, 0])
+    pieces = _sectors(_SECTOR_VALUES, _SECTOR_ANGLES)
+    pieces = pieces[1:] + [Jump(pieces[0].theta + TWO_PI, pieces[0].left, [4.0, 0.0])]
+    curve = validate(Curve(tuple(pieces)))
+    assert curve.closure_gap == 4.0
+    assert total_variation(curve).jump == pytest.approx(
+        1.0 + math.sqrt(2.0) + math.sqrt(17.0), abs=1e-12
+    )
+
+
+_LINEAR_T = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e300]), st.floats(0.0, 1e300)
+)
+_UNIT_X = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_LINEAR_T, _UNIT_X, _UNIT_X)
+def test_linear_profile_is_exactly_linear(t, xa, xb):
+    x0, x1 = min(xa, xb), max(xa, xb)
+    m = linear_mass(t)
+    for x in (x0, x1):
+        assert _bits(m.value_at(x)) == _bits(t * x)
+    edges, masses = m.density_cells()
+    assert _bits(edges) == _bits([0.0, 1.0]) and _bits(masses) == _bits([t])
+
+    # an arc of length exactly t: radius t swept through 1 radian
+    path = CircleArcPath(np.zeros(2), t, 0.0, 1.0) if t > 0.0 else PointPath([0.0, 0.0])
+    arc = Arc(0.0, TWO_PI, path, m)
+    assert _bits(arc.restrict_rel(x0, x1, 0.0, TWO_PI).ac.samples) == _bits(
+        [0.0, t * x1 - t * x0]
+    )
+    dumped = dump_curve(validate(Curve((arc,))))
+    ac = dumped["pieces"][0].get("ac")
+    if t > 0.0:
+        assert ac == {"kind": "linear", "total": t}
+        assert _bits(load_curve(dumped).arcs[0].ac.samples) == _bits([0.0, t])
+    else:
+        assert ac is None
 
 
 # ---------------------------------------------------------------------------
