@@ -66,6 +66,23 @@ def _num(v, where: str) -> float:
     return x
 
 
+def _nums(values: list, where: str) -> np.ndarray:
+    """values as a float array, each element checked as _num checks it.
+
+    One pass when every element is an int or a float (not a bool) and the
+    array is finite; otherwise _num runs on each element in turn, so the
+    first bad one gets its message.
+    """
+    if set(map(type, values)) <= {int, float}:
+        try:
+            x = np.array(values, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            x = None
+        if x is not None and np.all(np.isfinite(x)):
+            return x
+    return np.array([_num(v, f"{where}[{i}]") for i, v in enumerate(values)])
+
+
 def _pt(v, where: str) -> np.ndarray:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise CurveFormatError(f"{where}: expected [x, y], got {v!r}")
@@ -80,9 +97,14 @@ def _parse_path(obj, where: str):
             raise CurveFormatError(f"{where}.points: need at least 2 points")
         return PolylinePath(np.array([_pt(p, f"{where}.points[{i}]") for i, p in enumerate(pts)]))
     if kind == "circle_arc":
+        center = _pt(_need(obj, "center", where), f"{where}.center")
+        radius = _num(_need(obj, "radius", where), f"{where}.radius")
+        if radius <= 0.0:
+            raise CurveFormatError(
+                f"{where}.radius: expected a positive number, got {obj['radius']!r}")
         return CircleArcPath(
-            _pt(_need(obj, "center", where), f"{where}.center"),
-            _num(_need(obj, "radius", where), f"{where}.radius"),
+            center,
+            radius,
             _num(_need(obj, "phi0", where), f"{where}.phi0"),
             _num(_need(obj, "phi1", where), f"{where}.phi1"),
         )
@@ -101,9 +123,7 @@ def _parse_mass(obj, where: str) -> CumulativeVariation:
         samples = _need(obj, "samples", where)
         if not isinstance(samples, list) or len(samples) < 2:
             raise CurveFormatError(f"{where}.samples: need at least 2 values")
-        return sampled_mass(
-            np.array([_num(s, f"{where}.samples[{i}]") for i, s in enumerate(samples)])
-        )
+        return sampled_mass(_nums(samples, f"{where}.samples"))
     raise CurveFormatError(f"{where}.kind: unknown mass kind {kind!r}")
 
 

@@ -159,8 +159,8 @@ class PolylinePath:
 
     def sample_arclengths(self, n: int) -> np.ndarray:
         # corners always kept: inscribed length is exact once n covers them
-        uniform = np.linspace(0.0, self.length, max(2, n))
-        return np.union1d(uniform, self._cum)
+        svals = np.sort(np.concatenate([np.linspace(0.0, self.length, max(2, n)), self._cum]))
+        return svals[np.concatenate([[True], svals[1:] != svals[:-1]])]
 
     def restrict(self, s0: float, s1: float) -> "PathType":
         if s1 <= s0:

@@ -34,21 +34,3 @@ def shoelace_terms(x0, y0, x1, y1):
     product and the difference rounded once.  A reversed edge gives
     exactly the negated term."""
     return x0 * y1 - y0 * x1
-
-
-def polygon_signed_area(vertices: np.ndarray) -> float:
-    """Signed shoelace area of a closed vertex loop.
-
-    Accepts the loop with or without the repeated last vertex.  Uses
-    math.fsum, so the result is the correctly rounded sum of the rounded
-    shoelace terms (not of the exact ones): cyclic rotations and
-    reversals of the loop give bitwise consistent areas.
-    """
-    v = np.asarray(vertices, dtype=float)
-    if len(v) >= 2 and np.array_equal(v[0], v[-1]):
-        v = v[:-1]
-    if len(v) < 3:
-        return 0.0
-    nxt = np.roll(v, -1, axis=0)
-    terms = shoelace_terms(v[:, 0], v[:, 1], nxt[:, 0], nxt[:, 1])
-    return 0.5 * math.fsum(terms.tolist())

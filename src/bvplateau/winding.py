@@ -9,17 +9,22 @@ area is the math.fsum of its half-edges' shoelace terms: the correctly
 rounded sum of the rounded terms, so a face whose terms are exact (small
 integer vertices, say) gets its exact area.
 
-The arrangement is built with array operations throughout, except for
-three Python loops over half-edges: the face walk, one math.fsum per face
-over the shoelace terms (formed as one array), and the winding
-propagation.  Only segment pairs whose slightly inflated bounding boxes
-overlap, found by a sort and sweep, are tested for intersection.  The
+The arrangement is built in two stages.  The chain stage (_chain) is
+array code, but for a loop over the segments that hold cuts within eps
+of each other.  Only segment pairs whose slightly inflated bounding
+boxes overlap, found by a sort and sweep, are tested for intersection.  The
 inflation provably covers every pair the intersection test can accept
 (see _candidate_pairs), so the cuts, and hence the areas, are those of
 the all-pairs test.  That test writes its dot and cross products out as
 x0*y0 + x1*y1, so its results do not depend on the BLAS build.  Cut
 points are merged as a sequential first-seen snapper merges them; a sweep
-shows when that is a plain exact deduplication (see _snap).
+confines that snapper to the runs of points that hold a close pair (see
+_snap).  The face stage (_faces) has three Python loops over half-edges:
+the face walk, one math.fsum per face over the shoelace terms (formed as
+one array), and the winding propagation.  winding_area skips it when the
+chain is one simple cycle: by the Jordan curve theorem the winding area
+is then the |shoelace area|, and that is the face stage's own value, bit
+for bit (see winding_area).
 
 A Monte Carlo cross-check on a jittered stratified grid, sampled once,
 is provided as an independent estimator with a standard error.  Its
@@ -264,65 +269,61 @@ def _candidate_pairs(segs: np.ndarray, eps: float) -> np.ndarray:
 def _snap(points: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Ids of points merged as _Snapper merges them, and the merged points.
 
-    Exact repeats share the id of their first occurrence, and ids count
-    distinct points in the order they are first seen.  That is all
-    _Snapper does when no two distinct points lie within eps (sup norm):
-    the only representative within eps of a point is then the point
-    itself.  A sweep rules such pairs out.  Sort the distinct points by x
+    _Snapper gives a point the first representative within eps (sup norm)
+    that it holds, or makes the point a new one, and ids count the
+    representatives in the order they are made.  A sweep shows where that
+    is more than an exact deduplication.  Sort the distinct points by x
     and split them into runs wherever consecutive x differ by more than
     eps.  Two points within eps of each other lie in one run, and when
     that run is sorted by y, every two neighbours from the one to the
     other differ by at most eps in y; rounded differences are monotone, so
-    this holds for computed differences too.  Where some neighbours in a
-    run are that close, _Snapper runs over the whole sequence.
+    this holds for computed differences too.  In a run where no neighbours
+    are that close, the only representative within eps of a point is its
+    own first occurrence.  The points of the other runs go through one
+    _Snapper, in input order.  Every representative within eps of such a
+    point lies in its run, so that _Snapper chooses as one over all points
+    would.  Its ids are taken per point, not per distinct point, because
+    it can give two exact repeats different representatives.
     """
+    n = len(points)
     order = np.lexsort((points[:, 1], points[:, 0]))
     sorted_pts = points[order]
-    new = np.ones(len(points), dtype=bool)
+    new = np.ones(n, dtype=bool)
     new[1:] = np.any(sorted_pts[1:] != sorted_pts[:-1], axis=1)
     distinct = sorted_pts[new]
     run = np.concatenate([[0], np.cumsum(distinct[1:, 0] - distinct[:-1, 0] > eps)])
     by_y = np.lexsort((distinct[:, 1], run))
-    y, run = distinct[by_y, 1], run[by_y]
-    if np.any((run[1:] == run[:-1]) & (y[1:] - y[:-1] <= eps)):
+    y, run_y = distinct[by_y, 1], run[by_y]
+    close = (run_y[1:] == run_y[:-1]) & (y[1:] - y[:-1] <= eps)
+    # maker[k] is the point whose coordinates point k takes; lexsort is
+    # stable, so each group of repeats starts at its first occurrence
+    distinct_of = np.empty(n, dtype=np.intp)
+    distinct_of[order] = np.cumsum(new) - 1
+    maker = order[new][distinct_of]
+    if np.any(close):
+        shared = np.zeros(run[-1] + 1, dtype=bool)
+        shared[run_y[1:][close]] = True
+        sel = np.flatnonzero(shared[run[distinct_of]])
         snap = _Snapper(eps)
-        ids = np.array([snap.add(p) for p in points], dtype=np.intp)
-        return ids, np.asarray(snap.points)
-    # lexsort is stable, so each group of repeats starts at its first occurrence
-    first = order[new]
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(len(first))
-    ids = np.empty(len(points), dtype=np.intp)
-    ids[order] = rank[np.cumsum(new) - 1]
-    return ids, points[np.sort(first)]
+        local = np.array([snap.add(p) for p in points[sel]], dtype=np.intp)
+        # a point makes a representative when its id exceeds all before it
+        made = np.ones(len(local), dtype=bool)
+        made[1:] = local[1:] > np.maximum.accumulate(local)[:-1]
+        maker[sel] = sel[made][local]
+    reps = np.flatnonzero(maker == np.arange(n))
+    rank = np.empty(n, dtype=np.intp)
+    rank[reps] = np.arange(len(reps))
+    return rank[maker], points[reps]
 
 
-def build_arrangement(poly: ClosedPolyline) -> Arrangement:
-    """Planar subdivision induced by poly, with the winding number of
-    every face.
-
-    Segments are split at the cuts _cut_parameters finds with tolerance
-    eps = 1e-12 * scale; only pairs from _candidate_pairs, whose inflated
-    bounding boxes overlap, are tested.  Its margin, 4 eps + 1e-2 times
-    the segment length per box, covers everything _cut_parameters accepts,
-    rounding included, so the cuts are those of the all-pairs test.
-
-    Along each segment the cut parameters are taken in increasing order,
-    and one is dropped when it lies within eps (times the segment length)
-    of the last one kept.  The cut points are merged within eps by _snap,
-    first-seen coordinates winning, so exactly representable input
-    vertices stay exact.  Half-edges around each vertex are ordered by
-    angle, and those at one angle (overlapping edges) by half-edge index,
-    on every numpy build; faces are their next-edge cycles, starting from
-    the lowest half-edge of each, with areas from math.fsum over their
-    half-edges' shoelace terms, as polygon_signed_area of the cycle.
-    Winding numbers spread from the unbounded face across edges weighted
-    by how often the chain runs along them in each direction.
-    """
+def _chain(poly: ClosedPolyline) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Chain stage of build_arrangement: the merged vertices, the chain's
+    sub-edges tail -> head between them in chain order, and the scale."""
     segs = _segments(poly)
-    if len(segs) == 0:
-        return Arrangement(poly.vertices[:1].copy(), ())
     scale = _poly_scale(poly)
+    if len(segs) == 0:
+        none = np.zeros(0, dtype=np.intp)
+        return poly.vertices[:1].copy(), none, none, scale
     eps = 1e-12 * scale
     m = len(segs)
 
@@ -358,9 +359,16 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
     ids, verts = _snap(points, eps)
 
     step = (seg[1:] == seg[:-1]) & (ids[1:] != ids[:-1])
-    tail, head = ids[:-1][step], ids[1:][step]
+    return verts, ids[:-1][step], ids[1:][step], scale
+
+
+def _faces(
+    verts: np.ndarray, tail: np.ndarray, head: np.ndarray, scale: float
+) -> tuple[Face, ...]:
+    """Face stage of build_arrangement: the faces of the chain's sub-edges
+    tail -> head over verts, with their winding numbers."""
     if len(tail) == 0:
-        return Arrangement(verts, ())
+        return ()
     nv = len(verts)
     und, edge = np.unique(np.minimum(tail, head) * nv + np.maximum(tail, head),
                           return_inverse=True)
@@ -404,8 +412,7 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
             raise ArrangementError("face walk did not close on its start")
         cycles.append(walk)
 
-    # the shoelace terms polygon_signed_area forms for a face's vertex
-    # loop are those of its half-edges
+    # twice a face's signed area: the shoelace terms of its half-edges
     x, y = verts[:, 0], verts[:, 1]
     terms = shoelace_terms(x[origin], y[origin], x[dest], y[dest]).tolist()
     areas = [0.5 * math.fsum([terms[h] for h in walk]) for walk in cycles]
@@ -437,16 +444,66 @@ def build_arrangement(poly: ClosedPolyline) -> Arrangement:
         raise ArrangementError("some faces were unreachable from the outer face")
 
     origin_ids = origin.tolist()
-    faces = tuple(
+    return tuple(
         Face(tuple(origin_ids[h] for h in walk), float(areas[f]), winding[f], f == outer)
         for f, walk in enumerate(cycles)
     )
-    return Arrangement(verts, faces)
+
+
+def build_arrangement(poly: ClosedPolyline) -> Arrangement:
+    """Planar subdivision induced by poly, with the winding number of
+    every face.
+
+    The chain stage (_chain) splits the segments at the cuts
+    _cut_parameters finds with tolerance eps = 1e-12 * scale; only pairs
+    from _candidate_pairs, whose inflated bounding boxes overlap, are
+    tested.  Its margin, 4 eps + 1e-2 times the segment length per box,
+    covers everything _cut_parameters accepts, rounding included, so the
+    cuts are those of the all-pairs test.  Along each segment the cut
+    parameters are taken in increasing order, and one is dropped when it
+    lies within eps (times the segment length) of the last one kept.  The
+    cut points are merged within eps by _snap, first-seen coordinates
+    winning, so exactly representable input vertices stay exact.
+
+    The face stage (_faces) orders the half-edges around each vertex by
+    angle, and those at one angle (overlapping edges) by half-edge index,
+    on every numpy build; faces are their next-edge cycles, starting from
+    the lowest half-edge of each, with areas from math.fsum over their
+    half-edges' shoelace terms.  Winding numbers spread from the unbounded
+    face across edges weighted by how often the chain runs along them in
+    each direction.
+    """
+    verts, tail, head, scale = _chain(poly)
+    return Arrangement(verts, _faces(verts, tail, head, scale))
 
 
 def winding_area(poly: ClosedPolyline) -> float:
-    """integral |winding(poly, y)| dy, exact up to face-area rounding."""
-    return build_arrangement(poly).winding_area
+    """integral |winding(poly, y)| dy, exact up to face-area rounding; bit
+    for bit build_arrangement(poly).winding_area.
+
+    When the chain stage gives one cycle through every vertex exactly
+    once, a simple polygon, the face stage is skipped and the value is
+    0.5 * |math.fsum| of the cycle's shoelace terms.  That is the face
+    stage's own value.  With three or more vertices the cycle's edges are
+    distinct, so every vertex has degree 2 and the face walk yields
+    exactly two faces: the cycle in its two orientations.  Their
+    half-edges' terms are exact negations of each other, so their areas
+    are A and -A.  Those sum to 0, at most one is below -tol_zero, and the
+    outer face is one of the two.  Every edge has |net| 1, so the other
+    face gets winding +1 or -1 with no conflict: no ArrangementError can
+    be raised, and the winding area is |A|.
+    """
+    verts, tail, head, scale = _chain(poly)
+    nv = len(verts)
+    if (
+        nv >= 3
+        and len(tail) == nv
+        and np.array_equal(head, np.roll(tail, -1))
+        and np.all(np.bincount(tail, minlength=nv) == 1)
+    ):
+        x, y = verts[:, 0], verts[:, 1]
+        return 0.5 * abs(math.fsum(shoelace_terms(x[tail], y[tail], x[head], y[head]).tolist()))
+    return Arrangement(verts, _faces(verts, tail, head, scale)).winding_area
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from bvplateau.geometry import polygon_signed_area
+from bvplateau.geometry import shoelace_terms
 from bvplateau.winding import (
     Arrangement,
     ArrangementError,
@@ -22,6 +22,24 @@ from bvplateau.winding import (
     _segments,
     _Snapper,
 )
+
+
+def polygon_signed_area(vertices: np.ndarray) -> float:
+    """Signed shoelace area of a closed vertex loop.
+
+    Accepts the loop with or without the repeated last vertex.  Uses
+    math.fsum, so the result is the correctly rounded sum of the rounded
+    shoelace terms (not of the exact ones): cyclic rotations and
+    reversals of the loop give bitwise consistent areas.
+    """
+    v = np.asarray(vertices, dtype=float)
+    if len(v) >= 2 and np.array_equal(v[0], v[-1]):
+        v = v[:-1]
+    if len(v) < 3:
+        return 0.0
+    nxt = np.roll(v, -1, axis=0)
+    terms = shoelace_terms(v[:, 0], v[:, 1], nxt[:, 0], nxt[:, 1])
+    return 0.5 * math.fsum(terms.tolist())
 
 
 def cross2(a, b) -> float:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 
 import pytest
@@ -299,3 +300,41 @@ def test_exit_2_on_non_finite_curve_file(tmp_path, capsys, command, piece):
     assert code == 2
     assert "expected a finite number" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["tv", "complete"])
+def test_exit_2_on_zero_circle_radius(tmp_path, capsys, command):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"pieces": [
+        {"type": "arc", "theta0": 0.0, "theta1": 2 * math.pi,
+         "path": {"kind": "circle_arc", "center": [0, 0], "radius": 0, "phi0": 0, "phi1": 1}},
+    ]}))
+    # a RuntimeWarning (a division by the radius) fails the test too
+    code, out, _ = run(tmp_path, command, "--curve", str(path))
+    assert code == 2
+    assert "$.pieces[0].path.radius: expected a positive number, got 0" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 1.2 MB of resident memory; plain np.unique,
+    # np.union1d and friends import it
+    code = f"""
+import contextlib, io, sys
+from bvplateau.cli import main
+from bvplateau.curveio import BUILTIN_NAMES
+for name in BUILTIN_NAMES:
+    for command in {sorted(COMMANDS)!r}:
+        with contextlib.redirect_stderr(io.StringIO()):
+            rc = main([command, "--builtin", name, "--mesh-h", "0.2", "--ks", "2,4,8",
+                       "--emit-svg", "--out", {str(tmp_path / "o")!r}])
+        assert rc in (0, 3), (name, command, rc)
+print("numpy.ma" in sys.modules)
+"""
+    # the child imports the package this process imports
+    src = os.path.dirname(os.path.dirname(plateau.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600, check=True)
+    assert proc.stdout.strip() == "False"

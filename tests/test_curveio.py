@@ -12,6 +12,9 @@ from bvplateau import evaluate_many, total_variation
 from bvplateau.curveio import (
     BUILTIN_NAMES,
     CurveFormatError,
+    _cantor_samples,
+    _num,
+    _nums,
     builtin_curve,
     dump_curve,
     load_curve,
@@ -130,8 +133,6 @@ def test_structurally_bad_curve_is_validation_error():
 
 
 def test_cantor_samples_known_values():
-    from bvplateau.curveio import _cantor_samples
-
     y = _cantor_samples(5)
     n = 3**5
     assert y[0] == 0.0
@@ -207,3 +208,52 @@ def test_non_finite_number_is_format_error(spec, keys, where, value):
     with pytest.raises(CurveFormatError, match="expected a finite number") as e:
         parse_curve(data)
     assert str(e.value).startswith(where + ":")
+
+
+def _cantor_level_8_spec():
+    """A quarter circle traversed by a level-8 Cantor staircase, whose
+    profile has 6 562 samples."""
+    data = _quarter_circle_spec()
+    samples = (_cantor_samples(8) * (math.pi / 2)).tolist()
+    samples[0] = 0  # an int, as a JSON file may give it
+    data["pieces"][0]["cantor"]["samples"] = samples
+    return data
+
+
+def test_long_profile_parses_as_per_element():
+    data = _cantor_level_8_spec()
+    samples = data["pieces"][0]["cantor"]["samples"]
+    assert np.array_equal(parse_curve(data).pieces[0].cantor.samples, [_num(s, "$") for s in samples])
+    mixed = samples + [7, 2**53 + 1, -3]  # 2**53 + 1 rounds as float() rounds it
+    assert np.array_equal(_nums(mixed, "$"), [_num(s, "$") for s in mixed])
+
+
+@pytest.mark.parametrize("k", [0, 1, 3280, 6561])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (True, "expected a number, got True"),
+        ("1", "expected a number, got '1'"),
+        (math.nan, "expected a finite number, got nan"),
+        (10**400, f"expected a finite number, got {10**400!r}"),
+    ],
+    ids=["bool", "string", "nan", "huge-int"],
+)
+def test_bad_value_in_long_profile_names_its_index(k, value, message):
+    data = _cantor_level_8_spec()
+    samples = data["pieces"][0]["cantor"]["samples"]
+    assert len(samples) == 6562
+    samples[k] = value
+    with pytest.raises(CurveFormatError) as e:
+        parse_curve(data)
+    assert str(e.value) == f"$.pieces[0].cantor.samples[{k}]: {message}"
+
+
+@pytest.mark.parametrize("radius", [0, 0.0, -1, -1e-300])
+def test_nonpositive_circle_radius_is_format_error(radius):
+    data = _quarter_circle_spec()
+    data["pieces"][0]["path"]["radius"] = radius
+    with pytest.raises(CurveFormatError) as e:
+        parse_curve(data)
+    assert str(e.value) == (
+        f"$.pieces[0].path.radius: expected a positive number, got {radius!r}")

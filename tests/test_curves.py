@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference_arrangement import polygon_signed_area
 
 from bvplateau import (
     Arc,
@@ -355,8 +356,6 @@ def test_completed_vortex_lengths_monotone():
 def test_completed_triple_is_triangle():
     poly = completed_curve(builtin_curve("triple"), 256)
     assert abs(poly.length - 3.0) < 1e-9
-    from bvplateau.geometry import polygon_signed_area
-
     assert abs(abs(polygon_signed_area(poly.vertices)) - math.sqrt(3) / 4) < 1e-9
 
 

@@ -8,10 +8,11 @@ import pytest
 import reference_meshing as reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_arrangement import polygon_signed_area
 
 from bvplateau import completed_curve
 from bvplateau.curveio import BUILTIN_NAMES, builtin_curve
-from bvplateau.geometry import polygon_signed_area, triangle_dets
+from bvplateau.geometry import triangle_dets
 from bvplateau.meshing import _boundary_angles, _ring_angles, make_disk_mesh
 
 TWO_PI = 2 * math.pi

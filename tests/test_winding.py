@@ -24,6 +24,8 @@ from bvplateau.winding import (
     _cut_parameters,
     _poly_scale,
     _segments,
+    _snap,
+    _Snapper,
     build_arrangement,
     winding_area,
     winding_area_grid,
@@ -409,6 +411,110 @@ def test_integer_polygon_arrangement_matches_reference(v):
 @given(near_degenerate_polylines())
 def test_near_degenerate_arrangement_matches_reference(poly):
     assert_matches_reference(poly)
+
+
+def assert_area_matches_reference(poly):
+    """winding_area returns the loop reference's winding area bit for bit,
+    or raises its ArrangementError."""
+    try:
+        want = reference.build_arrangement(poly).winding_area
+    except ArrangementError as err:
+        with pytest.raises(ArrangementError, match=f"^{re.escape(str(err))}$"):
+            winding_area(poly)
+        return
+    got = winding_area(poly)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("n", [64, 256, 512, 1024])
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_winding_area_matches_reference(name, n):
+    assert_area_matches_reference(completed_curve(builtin_curve(name), n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_polygons)
+def test_integer_polygon_winding_area_matches_reference(v):
+    assert_area_matches_reference(ClosedPolyline(v))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(star_polygons(), st.integers(-20, 30))
+def test_translated_star_polygon_winding_area_matches_reference(poly, k):
+    # a far translation makes the shoelace terms large next to the area
+    assert_area_matches_reference(ClosedPolyline(poly.vertices + 2.0**k))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(near_degenerate_polylines())
+def test_near_degenerate_winding_area_matches_reference(poly):
+    assert_area_matches_reference(poly)
+
+
+def test_simple_trace_skips_the_face_stage(monkeypatch):
+    def no_faces(*args):
+        raise AssertionError("face stage ran")
+
+    monkeypatch.setattr(winding, "_faces", no_faces)
+    assert winding_area(completed_curve(builtin_curve("triple"), 512)) == FROZEN_AREAS[512]["triple"]
+    with pytest.raises(AssertionError, match="face stage ran"):
+        winding_area(completed_curve(builtin_curve("figure-eight"), 512))
+
+
+# ---------------------------------------------------------------------------
+# snapping
+
+
+def sequential_snap(points, eps):
+    snap = _Snapper(eps)
+    ids = [snap.add(p) for p in points]
+    return np.array(ids, dtype=np.intp), np.asarray(snap.points)
+
+
+@st.composite
+def clustered_clouds(draw):
+    """(points, eps): points within 2 eps of a few centres 8 eps apart, at
+    offsets in quarters of eps, so that some pairs lie exactly eps apart,
+    with exact repeats mixed in."""
+    eps = draw(st.sampled_from([0.25, 2.0**-40, 1e-12]))
+    centres = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=1, max_size=5))
+    quarters = st.integers(-8, 8)
+    pts = []
+    for _ in range(draw(st.integers(1, 40))):
+        if pts and draw(st.integers(0, 3)) == 0:
+            pts.append(pts[draw(st.integers(0, len(pts) - 1))])
+        else:
+            cx, cy = draw(st.sampled_from(centres))
+            pts.append((8 * cx * eps + draw(quarters) * eps / 4,
+                        8 * cy * eps + draw(quarters) * eps / 4))
+    return np.array(pts), eps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(clustered_clouds())
+def test_snap_matches_sequential_snapper(cloud):
+    points, eps = cloud
+    ids, merged = _snap(points, eps)
+    want_ids, want_merged = sequential_snap(points, eps)
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(merged, want_merged)
+
+
+def test_snapper_runs_only_where_points_are_close(monkeypatch):
+    # the vortex completion's closing segment is 2.4e-16 long: its two ends
+    # are the only distinct points within eps, among 1 023 cut points
+    added = []
+    add = _Snapper.add
+
+    def counting(self, p):
+        added.append(p)
+        return add(self, p)
+
+    monkeypatch.setattr(_Snapper, "add", counting)
+    poly = completed_curve(builtin_curve("vortex"), 512)
+    assert winding_area(poly) == FROZEN_AREAS[512]["vortex"]
+    assert 0 < len(added) <= 8
 
 
 # ---------------------------------------------------------------------------
