@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -53,16 +54,8 @@ class _Result(NamedTuple):
 
 
 def _certificate_json(cert: PlateauCertificate) -> dict:
-    return {
-        "lower": cert.lower,
-        "upper": cert.upper,
-        "delta_final": cert.delta_final,
-        "h": cert.h,
-        "iterations": cert.iterations,
-        "converged": cert.converged,
-        "termination": cert.termination,
-        "gap_flag": cert.gap_flag,
-    }
+    """The certificate's compared fields: everything but its figures."""
+    return {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert) if f.compare}
 
 
 def _cmd_tv(curve, config, params, options):
@@ -233,20 +226,10 @@ def _run(args: argparse.Namespace) -> int:
     outdir = args.out if args.out is not None else os.environ.get("BVPLATEAU_OUT", ".")
     os.makedirs(outdir, exist_ok=True)
     curve = builtin_curve(args.builtin) if args.builtin else load_curve(args.curve)
-    config = {
-        "command": args.command,
-        "curve": f"builtin:{args.builtin}" if args.builtin else args.curve,
-        "radius": args.radius,
-        "mesh_h": args.mesh_h,
-        "nodes": args.nodes,
-        "delta_schedule": list(delta_schedule),
-        "out": outdir,
-        "emit_svg": args.emit_svg,
-        "seed": args.seed,
-        "eps": args.eps,
-        "ks": list(ks),
-        "n_radii": args.n_radii,
-    }
+    # the parsed options, with the curve source, output directory and lists resolved
+    config = {**vars(args), "curve": f"builtin:{args.builtin}" if args.builtin else args.curve,
+              "out": outdir, "delta_schedule": list(delta_schedule), "ks": list(ks)}
+    del config["builtin"]
     result = _COMMANDS[args.command][0](curve, config, params, options)
 
     # allow_nan=False: a non-finite value is an error, never a NaN token

@@ -36,7 +36,6 @@ from .curves import (
     PolylinePath,
     ZERO_MASS,
     linear_mass,
-    sampled_mass,
     validate,
 )
 from .geometry import TWO_PI
@@ -123,7 +122,7 @@ def _parse_mass(obj, where: str) -> CumulativeVariation:
         samples = _need(obj, "samples", where)
         if not isinstance(samples, list) or len(samples) < 2:
             raise CurveFormatError(f"{where}.samples: need at least 2 values")
-        return sampled_mass(_nums(samples, f"{where}.samples"))
+        return CumulativeVariation(_nums(samples, f"{where}.samples"))
     raise CurveFormatError(f"{where}.kind: unknown mass kind {kind!r}")
 
 
@@ -275,7 +274,7 @@ def _triple() -> Curve:
 
 def _cantor_arc() -> Curve:
     path = CircleArcPath(np.zeros(2), 1.0, 0.0, np.pi / 2)
-    staircase = sampled_mass(_cantor_samples(7) * (np.pi / 2))
+    staircase = CumulativeVariation(_cantor_samples(7) * (np.pi / 2))
     arc = Arc(0.0, TWO_PI, path, ZERO_MASS, staircase)
     return validate(Curve((arc,)))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -58,7 +59,11 @@ class CumulativeVariation:
         s = np.asarray(self.samples, dtype=float).reshape(-1)
         object.__setattr__(self, "samples", s)
         object.__setattr__(self, "total", float(s[-1]) if len(s) else math.nan)
-        object.__setattr__(self, "_grid", np.linspace(0.0, 1.0, len(s)))
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        # built on first use: validate and total_variation read only the samples
+        return np.linspace(0.0, 1.0, len(self.samples))
 
     def value_at(self, x):
         return np.interp(np.clip(x, 0.0, 1.0), self._grid, self.samples)
@@ -93,10 +98,6 @@ class CumulativeVariation:
 
 def linear_mass(total: float) -> CumulativeVariation:
     return CumulativeVariation(np.array([0.0, total]))
-
-
-def sampled_mass(samples) -> CumulativeVariation:
-    return CumulativeVariation(samples)
 
 
 ZERO_MASS = linear_mass(0.0)
@@ -147,10 +148,6 @@ class PolylinePath:
     def start(self) -> np.ndarray:
         return self.points[0]
 
-    @property
-    def end(self) -> np.ndarray:
-        return self.points[-1]
-
     def point_at_arclength(self, s):
         s = np.clip(s, 0.0, self.length)
         x = np.interp(s, self._cum, self.points[:, 0])
@@ -192,10 +189,6 @@ class CircleArcPath:
     def start(self) -> np.ndarray:
         return self.point_at_arclength(0.0)
 
-    @property
-    def end(self) -> np.ndarray:
-        return self.point_at_arclength(self.length)
-
     def point_at_arclength(self, s):
         phi = self._phi(np.clip(s, 0.0, self.length))
         return self.center + self.radius * np.stack(
@@ -226,10 +219,6 @@ class PointPath:
 
     @property
     def start(self) -> np.ndarray:
-        return self.at
-
-    @property
-    def end(self) -> np.ndarray:
         return self.at
 
     def point_at_arclength(self, s):
@@ -286,9 +275,8 @@ class Arc:
 
     def restrict_rel(self, x0: float, x1: float, theta0: float, theta1: float) -> "Arc":
         """Sub-arc over relative positions [x0, x1], re-labelled [theta0, theta1]."""
-        ac0 = float(self.ac.value_at(x0)) + float(self.cantor.value_at(x0))
-        ac1 = float(self.ac.value_at(x1)) + float(self.cantor.value_at(x1))
-        path = self.path.restrict(ac0, ac1)
+        path = self.path.restrict(float(self.arclength_at_rel(x0)),
+                                  float(self.arclength_at_rel(x1)))
         return Arc(
             theta0,
             theta1,
@@ -520,23 +508,20 @@ def evaluate_many(curve: Curve, thetas, side: str = "right") -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ClosedPolyline:
-    """Closed vertex chain with constant-speed parametrisation over [0, 2*pi)."""
-
-    vertices: np.ndarray  # (n, 2), first row equals last row
+class ClosedPolyline(PolylinePath):
+    """Closed PolylinePath: the chain's first point is repeated as its
+    last, and point_at traverses it at constant speed over [0, 2*pi)."""
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float).reshape(-1, 2)
+        v = np.asarray(self.points, dtype=float).reshape(-1, 2)
         if len(v) < 2 or not np.array_equal(v[0], v[-1]):
-            v = np.vstack([v, v[:1]])
-        object.__setattr__(self, "vertices", v)
-        seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        object.__setattr__(self, "_cum", cum)
+            object.__setattr__(self, "points", np.vstack([v, v[:1]]))
+        super().__post_init__()
 
     @property
-    def length(self) -> float:
-        return float(self._cum[-1])
+    def vertices(self) -> np.ndarray:
+        """The closed chain, (n, 2), first row equal to the last."""
+        return self.points
 
     @property
     def is_degenerate(self) -> bool:
@@ -545,10 +530,7 @@ class ClosedPolyline:
     def point_at(self, theta):
         """Constant-speed parametrisation; theta taken modulo 2*pi."""
         t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-        s = self.length * t / TWO_PI
-        x = np.interp(s, self._cum, self.vertices[:, 0])
-        y = np.interp(s, self._cum, self.vertices[:, 1])
-        return np.stack([x, y], axis=-1)
+        return self.point_at_arclength(self.length * t / TWO_PI)
 
     def vertex_angles(self) -> np.ndarray:
         """Parameter angles of the vertices (closing duplicate dropped)."""

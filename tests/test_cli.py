@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from bvplateau import plateau
-from bvplateau.cli import main
+from bvplateau.cli import _build_parser, main
 from bvplateau.curveio import builtin_curve, dump_curve
 from bvplateau.homogeneous import ExtensionParams, relaxed_area
 
@@ -212,6 +212,15 @@ def test_reports_embed_config_and_are_deterministic(tmp_path):
     assert cfg["mesh_h"] == 0.2
 
 
+def test_config_keys_are_the_parser_options(tmp_path):
+    code, _, rep = run(tmp_path, "tv", "--builtin", "triple")
+    assert code == 0
+    options = {a.dest for a in _build_parser()._actions if a.dest != "help"}
+    # the curve source is one key, "curve", whichever option named it
+    assert set(rep["config"]) == options - {"builtin"}
+    assert rep["config"]["curve"] == "builtin:triple"
+
+
 def test_out_dir_from_environment(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("BVPLATEAU_OUT", str(target))
@@ -321,7 +330,7 @@ def test_no_command_imports_numpy_ma(tmp_path):
     # np.union1d and friends import it
     code = f"""
 import contextlib, io, sys
-from bvplateau.cli import main
+from bvplateau.cli import _build_parser, main
 from bvplateau.curveio import BUILTIN_NAMES
 for name in BUILTIN_NAMES:
     for command in {sorted(COMMANDS)!r}:

@@ -18,6 +18,8 @@ from reference_arrangement import polygon_signed_area
 from bvplateau import (
     Arc,
     CircleArcPath,
+    ClosedPolyline,
+    CumulativeVariation,
     Curve,
     CurveValidationError,
     Jump,
@@ -29,7 +31,6 @@ from bvplateau import (
     l1_distance,
     linear_mass,
     mollify_sequence,
-    sampled_mass,
     total_variation,
     validate,
 )
@@ -194,8 +195,6 @@ def test_validate_point_path_with_mass():
 
 
 def test_validate_nonmonotone_cumulative():
-    from bvplateau import CumulativeVariation
-
     bad_mass = CumulativeVariation(np.array([0.0, 0.6, 0.4, 1.0]))
     arc = Arc(0.0, TWO_PI, PolylinePath(np.array([[0, 0], [1, 0]], dtype=float)), bad_mass)
     with pytest.raises(CurveValidationError) as e:
@@ -204,8 +203,6 @@ def test_validate_nonmonotone_cumulative():
 
 
 def test_validate_sampled_endpoint():
-    from bvplateau import CumulativeVariation
-
     bad_mass = CumulativeVariation(np.array([0.1, 0.5, 1.0]))
     arc = Arc(0.0, TWO_PI, PolylinePath(np.array([[0, 0], [1, 0]], dtype=float)), bad_mass)
     with pytest.raises(CurveValidationError) as e:
@@ -391,6 +388,32 @@ def test_vertex_angles_cover_corners():
     assert np.min(np.abs(angles - math.pi / 2)) < 1e-12
 
 
+def _chain_point_at(chain, theta):
+    """Constant-speed interpolation of a closed chain, written out."""
+    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(chain, axis=0), axis=1))])
+    s = cum[-1] * np.mod(np.asarray(theta, dtype=float), TWO_PI) / TWO_PI
+    return np.stack([np.interp(s, cum, chain[:, 0]), np.interp(s, cum, chain[:, 1])], axis=-1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_point_at_is_the_closed_chain_interpolation(seed):
+    # point_at goes through PolylinePath.point_at_arclength, which clips
+    # to [0, length]; the bits must not move
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1.0, 1.0, (int(rng.integers(2, 9)), 2))
+    if seed % 2:
+        v = np.round(2.0 * v) / 2.0  # repeated vertices: zero-length segments
+    poly = ClosedPolyline(v)
+    chain = np.vstack([v, v[:1]])
+    thetas = np.concatenate([rng.uniform(-20.0, 20.0, 64), TWO_PI * np.arange(-3, 4),
+                             [-1e-20, -0.0, 0.0]])
+    assert np.mod(-1e-20, TWO_PI) == TWO_PI  # folds onto the closing vertex
+    assert poly.point_at(thetas).tobytes() == _chain_point_at(chain, thetas).tobytes()
+    for t in thetas[-5:]:
+        assert poly.point_at(t).tobytes() == _chain_point_at(chain, t).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # mollification
 
@@ -455,7 +478,7 @@ def test_mollify_tv_never_increases_random():
                 mass = linear_mass(seg.length)
             else:
                 cum = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0, 1, 3)]))
-                mass = sampled_mass(cum * seg.length)
+                mass = CumulativeVariation(cum * seg.length)
             pieces.append(Arc(t0, t1, seg, mass))
         curve = validate(Curve(tuple(pieces)))
         tv0 = total_variation(curve).total
@@ -496,7 +519,7 @@ def cantor_arcs(draw):
     path = CircleArcPath(centre, float(draw(st.integers(1, 4))), phi0, phi0 + span)
     share = draw(st.sampled_from([0.0, 0.25, 0.5]))
     ac = linear_mass(share * path.length) if share else ZERO_MASS
-    cantor = sampled_mass(_cantor_samples(draw(st.integers(1, 6))) * (path.length - ac.total))
+    cantor = CumulativeVariation(_cantor_samples(draw(st.integers(1, 6))) * (path.length - ac.total))
     start = draw(st.floats(0.0, TWO_PI, exclude_max=True))
     return validate(Curve((Arc(start, start + TWO_PI, path, ac, cantor),)))
 
@@ -535,7 +558,7 @@ def test_circle_arc_clockwise():
     path = CircleArcPath(np.zeros(2), 2.0, math.pi / 2, 0.0)
     assert path.length == pytest.approx(math.pi, abs=1e-15)
     assert np.allclose(path.start, [0.0, 2.0])
-    assert np.allclose(path.end, [2.0, 0.0])
+    assert np.allclose(path.point_at_arclength(path.length), [2.0, 0.0])
     mid = path.point_at_arclength(path.length / 2)
     assert np.allclose(mid, [2 * math.cos(math.pi / 4), 2 * math.sin(math.pi / 4)])
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bvplateau import Arc, Curve, PolylinePath, sampled_mass, validate
+from bvplateau import Arc, CumulativeVariation, Curve, PolylinePath, validate
 from bvplateau.curveio import builtin_curve, constant_curve
 from bvplateau.homogeneous import (
     ExtensionParams,
@@ -85,7 +85,7 @@ def test_cantor_arc_terms():
 def test_sampled_profile_matches_quadrature():
     # piecewise constant speed: assemble against independent 2d quadrature
     seg = PolylinePath(np.array([[0.0, 0.0], [2.0, 0.0]]))
-    cum = sampled_mass(np.array([0.0, 0.2, 0.2, 1.1, 2.0]))
+    cum = CumulativeVariation(np.array([0.0, 0.2, 0.2, 1.1, 2.0]))
     curve = validate(Curve((Arc(0.0, TWO_PI, seg, cum),)))
     params = ExtensionParams(radius=1.5)
     got = graph_area_term(curve, params)

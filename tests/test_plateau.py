@@ -223,13 +223,14 @@ def test_bracket_rule_does_not_change_under_translation():
 
 def test_stationary_stop_without_lower_bound():
     # the k = 8 profile filler of cantor-arc starts 9e-4 above its rim's
-    # winding area; with no bound to close on, every stage must stall
+    # winding area; with the trivial bound 0 to close on, every stage must
+    # stall
     phi = mollify_sequence(builtin_curve("cantor-arc"), 8)
     corners = [p.theta0 for p in phi.arcs] + [p.theta for p in phi.jumps]
     opts = PlateauOptions(mesh_h=0.15)
     start = _radial_start(lambda ang: evaluate_many(phi, ang), corners, origin_value(phi),
                           opts.mesh_h)
-    result = jacobian_tv_minimize(start.mesh, start.values, opts)
+    result = jacobian_tv_minimize(start.mesh, start.values, opts, lower=0.0)
     assert result.terminations == ("stationary",) * len(opts.delta_schedule)
     assert result.converged
     assert all(iters < opts.max_iters // 4 for _, iters, _ in result.stages)
