@@ -35,7 +35,7 @@ from typing import NamedTuple
 from .curveio import BUILTIN_NAMES, CurveFormatError, builtin_curve, load_curve
 from .curves import ClosedPolyline, CurveValidationError, completed_curve, total_variation
 from .homogeneous import ExtensionParams, relaxed_area, tangential_variation
-from .plateau import DiscreteMap, PlateauCertificate, PlateauOptions, plateau_value
+from .plateau import DiscreteMap, PlateauOptions, plateau_value
 from .relaxation import slicing_check, strict_convergence_report
 from .svgout import curve_svg, mesh_svg
 from .winding import winding_area_grid
@@ -53,18 +53,16 @@ class _Result(NamedTuple):
     code: int = 0
 
 
-def _certificate_json(cert: PlateauCertificate) -> dict:
-    """The certificate's compared fields: everything but its figures."""
-    return {f.name: getattr(cert, f.name) for f in dataclasses.fields(cert) if f.compare}
+def _record_json(record) -> dict:
+    """A library record's compared fields by name: everything but its figures."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.compare}
 
 
 def _cmd_tv(curve, config, params, options):
-    dec = total_variation(curve)
+    variation = _record_json(total_variation(curve))
     return _Result(
-        {"variation": {"ac": dec.ac, "jump": dec.jump, "cantor": dec.cantor, "total": dec.total},
-         "closure_gap": curve.closure_gap},
-        [["ac", "jump", "cantor", "total"],
-         [repr(dec.ac), repr(dec.jump), repr(dec.cantor), repr(dec.total)]],
+        {"variation": variation, "closure_gap": curve.closure_gap},
+        [list(variation), [repr(v) for v in variation.values()]],
     )
 
 
@@ -83,9 +81,7 @@ def _cmd_plateau(curve, config, params, options):
     cert = plateau_value(curve, options)
     grid = winding_area_grid(cert.poly, resolution=64, seed=config["seed"])
     return _Result(
-        {"plateau": _certificate_json(cert),
-         "winding_grid": {"value": grid.value, "stderr": grid.stderr,
-                          "resolution": grid.resolution, "samples": grid.samples}},
+        {"plateau": _record_json(cert), "winding_grid": _record_json(grid)},
         poly=cert.poly, dmap=cert.result.dmap, code=0 if cert.converged else 3,
     )
 
@@ -93,11 +89,7 @@ def _cmd_plateau(curve, config, params, options):
 def _cmd_area(curve, config, params, options):
     rep = relaxed_area(curve, params, options)
     return _Result(
-        {"graph_area": rep.graph_area,
-         "singular": rep.singular,
-         "plateau": _certificate_json(rep.plateau),
-         "relaxed_lower": rep.relaxed_lower,
-         "relaxed_upper": rep.relaxed_upper},
+        {**_record_json(rep), "plateau": _record_json(rep.plateau)},
         poly=rep.plateau.poly, dmap=rep.plateau.result.dmap,
         code=0 if rep.plateau.converged else 3,
     )
@@ -112,24 +104,16 @@ def _cmd_tangential(curve, config, params, options):
 
 def _cmd_verify_recovery(curve, config, params, options):
     rep = strict_convergence_report(curve, params, tuple(config["ks"]), options)
+    report = _record_json(rep)
+    # the record's boolean fields are the report's flags
+    report["flags"] = {name: report.pop(name) for name, v in list(report.items())
+                       if isinstance(v, bool)}
     columns = (rep.k_values, rep.l1_errors, rep.tv_values, rep.area_values,
                rep.jacobian_tv_values, rep.filler_jacobian_tv)
     ok = (rep.l1_nonincreasing and rep.tv_nondecreasing and rep.tv_within_target
           and rep.jacobian_matched)
     return _Result(
-        {"k_values": list(rep.k_values),
-         "l1_errors": list(rep.l1_errors),
-         "tv_values": list(rep.tv_values),
-         "area_values": list(rep.area_values),
-         "jacobian_tv_values": list(rep.jacobian_tv_values),
-         "filler_jacobian_tv": list(rep.filler_jacobian_tv),
-         "tv_target": rep.tv_target,
-         "area_target": rep.area_target,
-         "flags": {"l1_nonincreasing": rep.l1_nonincreasing,
-                   "tv_nondecreasing": rep.tv_nondecreasing,
-                   "tv_within_target": rep.tv_within_target,
-                   "jacobian_matched": rep.jacobian_matched,
-                   "area_converged": rep.area_converged}},
+        report,
         [["k", "l1_error", "tv_value", "area_value", "jacobian_tv", "filler_jacobian_tv"]]
         + [[k] + [repr(v) for v in rest] for k, *rest in zip(*columns)],
         dmap=rep.recovery_map, code=0 if ok else 3,
