@@ -13,12 +13,13 @@ curve.svg (the command's polyline, else the 256-vertex completion) and
 mesh.svg.  Reports are byte-identical across reruns with equal flags.
 
 Exit codes: 0 success; 2 invalid input or configuration; 3, with the
-reports still written, when `plateau` or `area` ends with the Plateau
-minimiser's last delta-stage stopped by max_iters or by a failed line
-search (neither bracket_closed nor stationary: report.json's
-plateau.termination names it), or when `verify-recovery` finds the L1
-errors increasing, the variations decreasing or above their target, or
-a Jacobian mismatch.
+reports still written, when `plateau` or `area` reports a bracket that
+is not converged: the Plateau minimiser's last delta-stage stopped by
+max_iters or by a failed line search (neither bracket_closed nor
+stationary: report.json's plateau.termination names it), or it stopped
+stationary with plateau.gap_flag set; or when `verify-recovery` finds
+the L1 errors increasing, the variations decreasing or above their
+target, or a Jacobian mismatch.
 """
 
 from __future__ import annotations

@@ -101,6 +101,8 @@ class PlateauCertificate:
 
     gap_flag marks brackets with upper > GAP_RATIO * lower + 1e-9, where
     the computed upper end should not be quoted as the value itself.
+    converged means the minimisation converged and gap_flag is clear: a
+    stationary stop above the gap is not a converged bracket.
     poly is the completed datum and result the minimisation behind the
     upper end; neither takes part in comparisons.
     """
@@ -322,7 +324,7 @@ def plateau_value(
         result.stages[-1][0],
         options.mesh_h,
         result.iterations,
-        result.converged,
+        result.converged and not gap,
         result.terminations[-1],
         gap,
         poly,

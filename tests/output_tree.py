@@ -25,6 +25,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -63,15 +64,16 @@ def main(argv=None) -> int:
 
     os.makedirs(outdir, exist_ok=True)
     os.chdir(outdir)
-    failed = 0
+    runs_by_code = Counter()
     for run_dir, args in _runs():
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = cli_main([*args, "--out", run_dir])
         Path(run_dir, "exit_code").write_text(f"{code}\n{err.getvalue()}")
-        failed += code != 0
-    print(f"{failed} runs exited nonzero")
-    return 1 if failed else 0
+        runs_by_code[code] += 1
+    for code, runs in sorted(runs_by_code.items()):
+        print(f"exit {code}: {runs} runs")
+    return 1 if set(runs_by_code) - {0} else 0
 
 
 if __name__ == "__main__":

@@ -106,6 +106,32 @@ def test_bracket_closes_at_default_flags(tmp_path, command, builtin):
     assert cert["upper"] >= cert["lower"] - 1e-12
 
 
+# loop 2 of perfbench/gen.py (seed 0): at mesh_h 0.2 its minimiser stops
+# stationary with the bracket open
+LOOP_2 = [[-0.14876233606636569, -0.7969995612516605], [-0.48016022041433604, -0.5583414573673653],
+          [0.2938514396706451, -0.2994120652069354], [-0.6393641969406243, 0.007273010419774462],
+          [-0.9212425858306152, -0.7981575176220668], [0.9764702974450021, -0.601288419065874],
+          [-0.2828893973767963, 0.4631966124507212]]
+
+
+def test_plateau_exits_3_on_an_open_bracket(tmp_path):
+    chain = LOOP_2 + LOOP_2[:1]
+    length = math.fsum(math.dist(p, q) for p, q in zip(chain, chain[1:]))
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"pieces": [{
+        "type": "arc", "theta0": 0.0, "theta1": 2 * math.pi,
+        "path": {"kind": "polyline", "points": chain},
+        "ac": {"kind": "linear", "total": length},
+    }]}))
+    code, out, rep = run(tmp_path, "plateau", "--curve", str(path), "--mesh-h", "0.2")
+    assert code == 3
+    assert (out / "report.json").exists()
+    cert = rep["plateau"]
+    assert cert["termination"] == "stationary"
+    assert cert["gap_flag"] is True
+    assert cert["converged"] is False
+
+
 def test_tangential(tmp_path):
     code, _, rep = run(
         tmp_path, "tangential", "--builtin", "vortex", "--eps", "0.5"

@@ -218,6 +218,8 @@ def test_bracket_rule_does_not_change_under_translation():
     ]
     for cert in certs:
         assert not (cert.termination == "bracket_closed" and cert.gap_flag)
+        # an open bracket is not converged, however the last stage stopped
+        assert not cert.converged
     assert certs[0].termination == certs[1].termination
 
 
