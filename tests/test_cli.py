@@ -356,7 +356,7 @@ def test_no_command_imports_numpy_ma(tmp_path):
     # np.union1d and friends import it
     code = f"""
 import contextlib, io, sys
-from bvplateau.cli import _build_parser, main
+from bvplateau.cli import main
 from bvplateau.curveio import BUILTIN_NAMES
 for name in BUILTIN_NAMES:
     for command in {sorted(COMMANDS)!r}:
