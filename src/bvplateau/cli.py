@@ -7,10 +7,13 @@ single parser.  _run checks every option, whichever command reads it,
 and builds the ExtensionParams and PlateauOptions once.  A command reads
 only those and the resolved configuration, the dict embedded in
 report.json, and writes nothing: it returns its report fields, its
-report.csv rows, the figure objects it has and its exit code.  _run
-alone writes report.json, report.csv and, under --emit-svg,
-curve.svg (the command's polyline, else the 256-vertex completion) and
-mesh.svg.  Reports are byte-identical across reruns with equal flags.
+report.csv rows, the figure objects it has and its exit code.  The rows
+hold plain Python values, and csv formats them: a float is written as
+its repr.  _run alone writes report.json, report.csv and, under
+--emit-svg, curve.svg (the command's polyline, else the 256-vertex
+completion) and mesh.svg.  Reports are byte-identical across reruns
+with equal flags.  The parser is built on the first main call and
+shared by every later call in the process; callers must not mutate it.
 
 Exit codes: 0 success; 2 invalid input or configuration; 3, with the
 reports still written, when `plateau` or `area` reports a bracket that
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -61,10 +65,8 @@ def _record_json(record) -> dict:
 
 def _cmd_tv(curve, config, params, options):
     variation = _record_json(total_variation(curve))
-    return _Result(
-        {"variation": variation, "closure_gap": curve.closure_gap},
-        [list(variation), [repr(v) for v in variation.values()]],
-    )
+    return _Result({"variation": variation, "closure_gap": curve.closure_gap},
+                   [list(variation), list(variation.values())])
 
 
 def _cmd_complete(curve, config, params, options):
@@ -73,8 +75,7 @@ def _cmd_complete(curve, config, params, options):
         {"n_vertices": len(poly.vertices) - 1,  # closing duplicate not counted
          "length": poly.length,
          "closure_gap": curve.closure_gap},
-        [[repr(float(x)), repr(float(y))] for x, y in poly.vertices[:-1]],
-        poly,
+        poly.vertices[:-1].tolist(), poly,
     )
 
 
@@ -116,19 +117,17 @@ def _cmd_verify_recovery(curve, config, params, options):
     return _Result(
         report,
         [["k", "l1_error", "tv_value", "area_value", "jacobian_tv", "filler_jacobian_tv"]]
-        + [[k] + [repr(v) for v in rest] for k, *rest in zip(*columns)],
+        + list(zip(*columns)),
         dmap=rep.recovery_map, code=0 if ok else 3,
     )
 
 
 def _cmd_slice_check(curve, config, params, options):
-    rep = slicing_check(curve, params, eps=config["eps"], n_radii=config["n_radii"])
-    return _Result(
-        {"circle_tv": rep.circle_tv, "estimate": rep.estimate, "exact": rep.exact,
-         "rel_error": rep.rel_error},
-        [["radius", "slice_tv"]]
-        + [[repr(float(r)), repr(float(v))] for r, v in zip(rep.radii, rep.slice_tv)],
-    )
+    report = _record_json(
+        slicing_check(curve, params, eps=config["eps"], n_radii=config["n_radii"]))
+    # the record's two arrays are the report.csv columns
+    columns = report.pop("radii").tolist(), report.pop("slice_tv").tolist()
+    return _Result(report, [["radius", "slice_tv"], *zip(*columns)])
 
 
 _COMMANDS = {
@@ -144,6 +143,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bvplateau",
@@ -209,7 +209,6 @@ def _run(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
     outdir = args.out if args.out is not None else os.environ.get("BVPLATEAU_OUT", ".")
-    os.makedirs(outdir, exist_ok=True)
     curve = builtin_curve(args.builtin) if args.builtin else load_curve(args.curve)
     # the parsed options, with the curve source, output directory and lists resolved
     config = {**vars(args), "curve": f"builtin:{args.builtin}" if args.builtin else args.curve,
@@ -229,6 +228,7 @@ def _run(args: argparse.Namespace) -> int:
         files["curve.svg"] = curve_svg(poly)
         if result.dmap is not None:
             files["mesh.svg"] = mesh_svg(result.dmap)
+    os.makedirs(outdir, exist_ok=True)
     for name, text in files.items():
         with open(os.path.join(outdir, name), "w", newline="") as f:
             f.write(text)

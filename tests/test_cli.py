@@ -10,8 +10,10 @@ import pytest
 
 from bvplateau import plateau
 from bvplateau.cli import _build_parser, main
-from bvplateau.curveio import builtin_curve, dump_curve
+from bvplateau.curveio import BUILTIN_NAMES, builtin_curve, dump_curve
+from bvplateau.curves import completed_curve
 from bvplateau.homogeneous import ExtensionParams, relaxed_area
+from bvplateau.relaxation import slicing_check
 
 
 COMMANDS = {
@@ -23,6 +25,14 @@ COMMANDS = {
     "verify-recovery": "strict-convergence report for the mollified sequence",
     "slice-check": "circle-slice variation against the tangential variation",
 }
+
+
+def child_env():
+    """The environment of a child interpreter that imports the package this
+    process imports."""
+    src = os.path.dirname(os.path.dirname(plateau.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 def run(tmp_path, *argv):
@@ -168,6 +178,8 @@ def test_exit_2_on_bad_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["tv", "--curve", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # the output directory is made only when there is output to write
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_2_on_schema_error(tmp_path, capsys):
@@ -303,6 +315,58 @@ def test_unknown_command_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dump_curve(builtin_curve("vortex"))))
+    out = tmp_path / "complete"
+    argv = ["complete", "--curve", str(path), "--out", str(out)]
+    # a parse error and a run with other options leave nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--builtin", "triple", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert main(["tv", "--builtin", "triple", "--emit-svg", "--out", str(tmp_path / "tv")]) == 0
+    assert main(argv) == 0
+    config = json.loads((out / "report.json").read_text())["config"]
+    assert config["emit_svg"] is False and config["curve"] == str(path)
+    files = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+    assert sorted(files) == ["report.csv", "report.json"]
+    _build_parser.cache_clear()
+    assert main(argv) == 0
+    assert files == {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_csv_cells_are_reprs_of_library_values(tmp_path, name):
+    curve = builtin_curve(name)
+    code, out, _ = run(tmp_path, "complete", "--builtin", name)
+    assert code == 0
+    complete = (out / "report.csv").read_text().splitlines()
+    vertices = completed_curve(curve, 256).vertices[:-1].tolist()
+    assert complete == [f"{x!r},{y!r}" for x, y in vertices]
+    code, out, _ = run(tmp_path, "slice-check", "--builtin", name, "--eps", "0.25")
+    assert code == 0
+    header, *slices = (out / "report.csv").read_text().splitlines()
+    lib = slicing_check(curve, ExtensionParams(), eps=0.25, n_radii=256)
+    assert header == "radius,slice_tv"
+    assert slices == [f"{r!r},{v!r}" for r, v in zip(lib.radii.tolist(), lib.slice_tv.tolist())]
+    # a numpy scalar's repr is np.float64(...); a Python float's is its digits
+    assert not any(cell.startswith("np.") for line in complete + slices
+                   for cell in line.split(","))
+
+
+def test_one_shot_process_writes_the_in_process_csv(tmp_path):
+    # python -m runs the module as __main__, whose process builds the parser once
+    proc = subprocess.run(
+        [sys.executable, "-m", "bvplateau.cli", "complete", "--builtin", "triple",
+         "--out", str(tmp_path / "child")],
+        env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["complete", "--builtin", "triple", "--out", str(tmp_path / "here")]) == 0
+    assert ((tmp_path / "child" / "report.csv").read_bytes()
+            == (tmp_path / "here" / "report.csv").read_bytes())
+
+
 def test_help_lists_every_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["-h"])
@@ -366,10 +430,6 @@ for name in BUILTIN_NAMES:
         assert rc in (0, 3), (name, command, rc)
 print("numpy.ma" in sys.modules)
 """
-    # the child imports the package this process imports
-    src = os.path.dirname(os.path.dirname(plateau.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                           text=True, timeout=600, check=True)
     assert proc.stdout.strip() == "False"
