@@ -10,8 +10,9 @@ report.json, and writes nothing: it returns its report fields, its
 report.csv rows, the figure objects it has and its exit code.  The rows
 hold plain Python values, and csv formats them: a float is written as
 its repr.  _run alone writes report.json, report.csv and, under
---emit-svg, curve.svg (the command's polyline, else the 256-vertex
-completion) and mesh.svg.  Reports are byte-identical across reruns
+--emit-svg, curve.svg (the command's polyline, else the completion with
+a 256-vertex budget for circle arcs; straight pieces give their corners
+only) and mesh.svg.  Reports are byte-identical across reruns
 with equal flags.  The parser is built on the first main call and
 shared by every later call in the process; callers must not mutate it.
 

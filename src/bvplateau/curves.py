@@ -154,11 +154,6 @@ class PolylinePath:
         y = np.interp(s, self._cum, self.points[:, 1])
         return np.stack([x, y], axis=-1)
 
-    def sample_arclengths(self, n: int) -> np.ndarray:
-        # corners always kept: inscribed length is exact once n covers them
-        svals = np.sort(np.concatenate([np.linspace(0.0, self.length, max(2, n)), self._cum]))
-        return svals[np.concatenate([[True], svals[1:] != svals[:-1]])]
-
     def restrict(self, s0: float, s1: float) -> "PathType":
         if s1 <= s0:
             return PointPath(self.point_at_arclength(s0))
@@ -225,9 +220,6 @@ class PointPath:
         out = np.empty(np.shape(s) + (2,))
         out[...] = self.at
         return out
-
-    def sample_arclengths(self, n: int) -> np.ndarray:
-        return np.array([0.0])
 
     def restrict(self, s0: float, s1: float) -> "PointPath":
         return self
@@ -542,10 +534,13 @@ class ClosedPolyline(PolylinePath):
 def completed_curve(curve: Curve, n_vertices: int = 256) -> ClosedPolyline:
     """Trace of the curve with jumps (and any closure gap) filled by chords.
 
-    Vertex budgets are proportional to variation mass with a floor of two
-    per piece; polyline corners are always kept, so the result's length is
-    nondecreasing in n_vertices and converges to the total variation (plus
-    the closure gap for open traces).
+    Straight pieces render as their corners: a chord as its two endpoints,
+    a polyline arc as its points, a point arc as its point.  Only circle
+    arcs are sampled, max(2, ceil(n_vertices * mass / total)) points each,
+    total being the whole variation mass including the chords.  So a trace
+    without circle arcs is completed exactly, whatever n_vertices; with
+    them, the length is nondecreasing in n_vertices and converges to the
+    total variation (plus the closure gap for open traces).
     """
     if n_vertices < 2:
         raise ValueError("n_vertices must be >= 2")
@@ -563,17 +558,15 @@ def completed_curve(curve: Curve, n_vertices: int = 256) -> ClosedPolyline:
 
     chunks: list[np.ndarray] = []
     for obj, mass in render:
-        if mass == 0.0:
-            if isinstance(obj, Arc):
-                chunks.append(obj.start_value.reshape(1, 2))
-            continue
-        budget = max(2, int(math.ceil(n_vertices * mass / total)))
-        if isinstance(obj, Arc):
+        if not isinstance(obj, Arc):
+            chunks.append(np.array(obj))
+        elif isinstance(obj.path, CircleArcPath):
+            budget = max(2, int(math.ceil(n_vertices * mass / total)))
             chunks.append(obj.path.point_at_arclength(obj.path.sample_arclengths(budget)))
+        elif isinstance(obj.path, PolylinePath):
+            chunks.append(obj.path.points)
         else:
-            a, b = obj
-            t = np.linspace(0.0, 1.0, budget)[:, None]
-            chunks.append((1.0 - t) * a + t * b)
+            chunks.append(obj.path.at.reshape(1, 2))
 
     # drop each vertex equal to the one before it; ClosedPolyline closes the loop
     v = np.concatenate(chunks)

@@ -90,8 +90,9 @@ BRACKET_RTOL = 1e-12
 STALL_WINDOW = 100
 STALL_RTOL = 1e-4
 
-# vertices of the chord-filled completion behind the bracket, the recovery
-# fillers and the value at the origin
+# vertex budget of the chord-filled completion behind the bracket, the
+# recovery fillers and the value at the origin; only circle arcs spend it,
+# so a trace without them is completed exactly, whatever the budget
 COMPLETION_VERTICES = 512
 
 
@@ -278,7 +279,7 @@ def jacobian_tv_minimize(
 
 def origin_value(curve: Curve) -> np.ndarray:
     """Value given to the homogeneous extension of curve at the origin: the
-    arclength centroid of its completion with COMPLETION_VERTICES vertices."""
+    arclength centroid of its completion at COMPLETION_VERTICES."""
     return arclength_centroid(completed_curve(curve, COMPLETION_VERTICES))
 
 
@@ -306,8 +307,8 @@ def plateau_value(
 ) -> PlateauCertificate:
     """Bracket the least sweeping area of a boundary curve.
 
-    Curves are completed to their chord-filled polyline with
-    COMPLETION_VERTICES vertices first.  The upper end minimises from the
+    Curves are completed to their chord-filled polyline at
+    COMPLETION_VERTICES first.  The upper end minimises from the
     radial start whose rim traverses that polyline at constant speed.  The
     mesh always lives on the unit disk: the bracket depends on the datum
     only.

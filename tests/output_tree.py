@@ -14,7 +14,11 @@ runs are:
 
 Every run uses paths relative to OUTDIR, so two trees written from
 different checkouts should be byte-identical: `diff -r A B`.  The script
-runs the CLI in-process and is not collected by pytest.
+runs the CLI in-process and is not collected by pytest.  It prints how
+many runs gave each exit code, and exits 1 only when some run gave a code
+other than 0 or 3, the two with which the CLI writes its reports (3 marks
+a bracket left open, as on some generated loops), so
+`output_tree.py SRC A && output_tree.py SRC2 B && diff -r A B` chains.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ def main(argv=None) -> int:
         runs_by_code[code] += 1
     for code, runs in sorted(runs_by_code.items()):
         print(f"exit {code}: {runs} runs")
-    return 1 if set(runs_by_code) - {0} else 0
+    return 1 if set(runs_by_code) - {0, 3} else 0
 
 
 if __name__ == "__main__":

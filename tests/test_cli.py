@@ -72,7 +72,7 @@ def test_complete_writes_polyline(tmp_path):
         line for line in (out / "report.csv").read_text().splitlines()
         if line and not line.startswith("#")
     ]
-    assert len(rows) == rep["n_vertices"]
+    assert len(rows) == rep["n_vertices"] == 3  # a triangle's corners
     assert (out / "curve.svg").exists()
 
 

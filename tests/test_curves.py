@@ -342,6 +342,48 @@ def test_completed_square_exact_length():
         assert abs(poly.length - 4.0) < 1e-12
 
 
+def _square_curve():
+    square = PolylinePath(
+        np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], dtype=float)
+    )
+    return validate(Curve((Arc(0.0, TWO_PI, square, linear_mass(4.0)),)))
+
+
+# curves without circle arcs and their completions: the corners in trace
+# order, each consecutive repeat dropped, the closing repeat not listed
+_CORNERS = {
+    "triple": (lambda: builtin_curve("triple"), [[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]]),
+    "figure-eight": (
+        lambda: builtin_curve("figure-eight"),
+        [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0], [0, -1], [-1, -1], [-1, 0]],
+    ),
+    "square": (_square_curve, [[0, 0], [1, 0], [1, 1], [0, 1]]),
+    "sectors": (
+        lambda: validate(Curve(tuple(_sectors(_SECTOR_VALUES, _SECTOR_ANGLES)))),
+        [[0, 1], [0, 0], [1, 0]],
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [2, 64, 512, 4096])
+@pytest.mark.parametrize("name", sorted(_CORNERS))
+def test_straight_pieces_complete_to_their_corners(name, n):
+    make, corners = _CORNERS[name]
+    poly = completed_curve(make(), n)
+    assert poly.vertices[:-1].tolist() == corners
+
+
+# circle arcs are still sampled in proportion to the whole mass, chords
+# included: (vertices, length) at n = 512, frozen bit for bit
+_SAMPLED_AT_512 = {"vortex": (512, 6.283145726272599), "cantor-arc": (270, 2.9850076574277447)}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLED_AT_512))
+def test_circle_arc_samples_frozen(name):
+    poly = completed_curve(builtin_curve(name), 512)
+    assert (len(poly.vertices) - 1, poly.length) == _SAMPLED_AT_512[name]
+
+
 def test_completed_vortex_lengths_monotone():
     curve = builtin_curve("vortex")
     lengths = [completed_curve(curve, n).length for n in (8, 32, 128, 512, 2048)]

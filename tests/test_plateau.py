@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvplateau import ClosedPolyline, completed_curve, plateau
-from bvplateau.curveio import builtin_curve, constant_curve
+from bvplateau.curveio import BUILTIN_NAMES, builtin_curve, constant_curve
 from bvplateau.curves import evaluate_many, mollify_sequence
 from bvplateau.geometry import triangle_dets
 from bvplateau.meshing import make_disk_mesh
@@ -115,6 +115,12 @@ def test_certificate_triangle():
     assert cert.lower == pytest.approx(expect, abs=1e-6)
     assert cert.upper >= cert.lower - 1e-9
     assert cert.upper <= 1.05 * expect
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_bracket_is_ordered_without_slack(name):
+    cert = plateau_value(builtin_curve(name))
+    assert cert.lower <= cert.upper
 
 
 def test_certificate_constant_datum():

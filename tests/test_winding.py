@@ -151,12 +151,14 @@ def test_figure_eight_builtin_completed():
     assert abs(winding_area(poly) - 2.0) < 1e-12
 
 
-# winding areas of the completions computed by testing every segment pair
+# winding areas of the completions computed by testing every segment pair;
+# triple completes to its three corners at any n, and its entry is the
+# fractions.Fraction shoelace of [0, 0], [1, 0], [0.5, sqrt(3)/2], rounded
 FROZEN_AREAS = {
-    512: {"vortex": 3.14151349222452, "triple": 0.43301270189221946,
-          "cantor-arc": 0.28539369992267455, "figure-eight": 2.0},
-    1024: {"vortex": 3.1415729018083027, "triple": 0.43301270189221897,
-           "cantor-arc": 0.2853970475273278, "figure-eight": 2.0},
+    512: {"vortex": 3.14151349222452, "triple": 0.4330127018922193,
+          "cantor-arc": 0.28539369992267466, "figure-eight": 2.0},
+    1024: {"vortex": 3.1415729018083027, "triple": 0.4330127018922193,
+           "cantor-arc": 0.28539704752732786, "figure-eight": 2.0},
 }
 
 
