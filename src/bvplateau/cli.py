@@ -11,8 +11,8 @@ report.csv rows, the figure objects it has and its exit code.  The rows
 hold plain Python values, and csv formats them: a float is written as
 its repr.  _run alone writes report.json, report.csv and, under
 --emit-svg, curve.svg (the command's polyline, else the completion with
-a 256-vertex budget for circle arcs; straight pieces give their corners
-only) and mesh.svg.  Reports are byte-identical across reruns
+the COMPLETE_VERTICES budget for circle arcs; straight pieces give their
+corners only) and mesh.svg.  Reports are byte-identical across reruns
 with equal flags.  The parser is built on the first main call and
 shared by every later call in the process; callers must not mutate it.
 
@@ -47,6 +47,9 @@ from .svgout import curve_svg, mesh_svg
 from .winding import winding_area_grid
 
 
+COMPLETE_VERTICES = 256
+
+
 class _Result(NamedTuple):
     """What a command returns: report.json fields besides config, the
     report.csv rows (header first; None for no file), its figures and its
@@ -71,7 +74,7 @@ def _cmd_tv(curve, config, params, options):
 
 
 def _cmd_complete(curve, config, params, options):
-    poly = completed_curve(curve, 256)
+    poly = completed_curve(curve, COMPLETE_VERTICES)
     return _Result(
         {"n_vertices": len(poly.vertices) - 1,  # closing duplicate not counted
          "length": poly.length,
@@ -225,7 +228,7 @@ def _run(args: argparse.Namespace) -> int:
         csv.writer(text, lineterminator="\n").writerows(result.rows)
         files["report.csv"] = text.getvalue()
     if config["emit_svg"]:
-        poly = result.poly if result.poly is not None else completed_curve(curve, 256)
+        poly = result.poly if result.poly is not None else completed_curve(curve, COMPLETE_VERTICES)
         files["curve.svg"] = curve_svg(poly)
         if result.dmap is not None:
             files["mesh.svg"] = mesh_svg(result.dmap)

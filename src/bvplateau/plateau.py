@@ -253,10 +253,10 @@ def jacobian_tv_minimize(
                     accepted = True
                     break
                 step *= 0.5
-            stage_iters += 1
             if not accepted:
                 reason = "line_search_failed"
                 break
+            stage_iters += 1
             energy, e0 = _energy_grad(values, tris, det_s, delta, grad)
             history.append(energy)
         total_iters += stage_iters

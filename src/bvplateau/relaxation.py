@@ -5,9 +5,11 @@ per triangle.  Recovery maps glue a rescaled disk filler to an annulus
 carrying the mollified boundary profile; because every annulus ring
 reuses one shared angle grid, ring-to-ring triangles repeat values and
 their Jacobians vanish identically, so the Jacobian mass of the glued
-map is the filler's alone.  Slice reports integrate the circle-wise
-variation of the extension over radii and compare with the tangential
-variation computed from the curve itself.
+map is the filler's alone.  Sequence reports take their target and
+their constant-speed filler from the relaxed_area certificate.  Slice
+reports integrate the circle-wise variation of the extension over
+radii and compare with the tangential variation computed from the
+curve itself.
 """
 
 from __future__ import annotations
@@ -17,24 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import (
-    ClosedPolyline,
-    Curve,
-    completed_curve,
-    evaluate_many,
-    l1_distance,
-    mollify_sequence,
-    total_variation,
-)
+from .curves import ClosedPolyline, Curve, evaluate_many, l1_distance, mollify_sequence
 from .geometry import TWO_PI
-from .homogeneous import ExtensionParams, graph_area_term, singular_term, tangential_variation
+from .homogeneous import ExtensionParams, relaxed_area, tangential_variation
 from .meshing import TriMesh
 from .plateau import (
-    COMPLETION_VERTICES,
     DiscreteMap,
     MinimizeResult,
     PlateauOptions,
-    _datum_start,
     _radial_start,
     jacobian_tv,
     jacobian_tv_minimize,
@@ -210,41 +202,38 @@ def strict_convergence_report(
     scaled variation, and graph area and Jacobian mass of the glued
     recovery map for every k (each k at least 2).
 
-    The constant-speed filler for the completed curve serves every k
-    whose mollified profile its rim matches, and is minimised once, only
-    if some k uses it; the other k (jumpy curves) get their own
-    angle-matched filler.  Rims are pinned, so the match is decided on
-    the radial start, before any minimisation.
+    area_target is relaxed_area's relaxed_lower, and the constant-speed
+    filler is the minimisation behind its Plateau upper end.  That filler
+    serves each distinct mollified profile its pinned rim matches; any
+    other (jumps, a speed that is not constant) gets one angle-matched
+    filler of its own.  R * TV is tangential_variation.
     """
     ks = tuple(int(k) for k in ks)
     if not ks or ks[0] < 2 or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("ks must be nonempty, strictly increasing and >= 2")
 
     ell = params.radius
-    tv_target = ell * total_variation(curve).total
-    poly = completed_curve(curve, COMPLETION_VERTICES)
-    lower = winding_area(poly)
-    area_target = graph_area_term(curve, params) + singular_term(curve, params) + lower
+    tv_target = tangential_variation(curve, params)
+    rep = relaxed_area(curve, params, options)
+    area_target = rep.relaxed_lower
 
-    start = _datum_start(poly, options.mesh_h)
-    base = None
-
+    # Curve compares by identity: an unchanged profile is one key for every k
+    fits = {}
     l1s, tvs, areas, jtvs, fjtvs = [], [], [], [], []
     for k in ks:
         phi = mollify_sequence(curve, k)
         # the radial midpoint rule is exact on the linear integrand r, so
         # the disk L1 distance reduces to the angular quadrature
         l1s.append(0.5 * ell * ell * l1_distance(curve, phi, params.nodes))
-        tvs.append(ell * total_variation(phi).total)
-        seam = _seam_values(phi, start)
-        if seam is None:
-            fit = minimize_for_profile(phi, options)
+        tvs.append(tangential_variation(phi, params))
+        if phi not in fits:
+            fit = rep.plateau.result
             seam = _seam_values(phi, fit.dmap)
-        else:
-            # the minimiser keeps the start's mesh and pinned rim: same seam
-            if base is None:
-                base = jacobian_tv_minimize(start.mesh, start.values, options, lower)
-            fit = base
+            if seam is None:
+                fit = minimize_for_profile(phi, options)
+                seam = _seam_values(phi, fit.dmap)
+            fits[phi] = fit, seam
+        fit, seam = fits[phi]
         vk = _glue(params, k, fit.dmap, seam, options.mesh_h)
         areas.append(area_functional(vk))
         jtvs.append(jacobian_tv(vk))

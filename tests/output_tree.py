@@ -10,7 +10,8 @@ runs are:
     `--mesh-h 0.2 --ks 2,4,8 --emit-svg`;
   * `area` and `plateau` on the four builtins at default flags;
   * the seven commands at `--mesh-h 0.2 --ks 2,4,8`, and `area` at default
-    flags, on 24 curves from `perfbench/gen.py` (6 per family, seed 0).
+    flags, on 24 curves from `perfbench/gen.py` (6 per family, seed 0) and
+    on the two curves of `_extra_specs`.
 
 Every run uses paths relative to OUTDIR, so two trees written from
 different checkouts should be byte-identical: `diff -r A B`.  The script
@@ -26,11 +27,14 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import sys
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,6 +42,32 @@ COMMANDS = ("tv", "complete", "plateau", "area", "tangential", "verify-recovery"
 BUILTINS = ("cantor-arc", "figure-eight", "triple", "vortex")
 FAMILIES = ("sector", "circle", "loop", "cantor")
 SMALL = ["--mesh-h", "0.2", "--ks", "2,4,8"]
+TWO_PI = 2 * math.pi
+
+
+def _extra_specs():
+    """Two paths the generated families miss.  ncs-circle: the unit circle
+    traced at non-constant speed, which mollify_sequence returns unchanged
+    for every k and the constant-speed filler's rim does not match.
+    c-jump: 24 constant sectors on the vertices of the C-shaped polygon of
+    tests/test_plateau.py, sector i from angle 2*pi*i/24 with a jump from
+    vertex i - 1 to vertex i, a jump curve whose Plateau start leaves the
+    bracket open."""
+    circle = {"pieces": [{
+        "type": "arc", "theta0": 0.0, "theta1": TWO_PI,
+        "path": {"kind": "circle_arc", "center": [0, 0], "radius": 1, "phi0": 0, "phi1": TWO_PI},
+        "ac": {"kind": "sampled", "samples": [0, 1, 2, TWO_PI]},
+    }]}
+    t = np.linspace(math.radians(30), math.radians(330), 12)
+    arc = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    verts = np.vstack([arc, 0.5 * arc[::-1]]).tolist()
+    pieces = []
+    for i, v in enumerate(verts):
+        t0 = TWO_PI * i / len(verts)
+        pieces.append({"type": "jump", "theta": t0, "left": verts[i - 1], "right": v})
+        pieces.append({"type": "arc", "theta0": t0, "theta1": TWO_PI * (i + 1) / len(verts),
+                       "path": {"kind": "point", "at": v}})
+    return {"ncs-circle": circle, "c-jump": {"pieces": pieces}}
 
 
 def _runs():
@@ -50,15 +80,15 @@ def _runs():
     from gen import make_curve
 
     rng = random.Random(0)
+    specs = {f"{family}-{i}": make_curve(family, rng, i)["spec"]
+             for family in FAMILIES for i in range(6)}
     os.makedirs("curves", exist_ok=True)
-    for family in FAMILIES:
-        for i in range(6):
-            spec = make_curve(family, rng, i)["spec"]
-            path = f"curves/{family}-{i}.json"
-            Path(path).write_text(json.dumps(spec, indent=1) + "\n")
-            for cmd in COMMANDS:
-                yield f"{family}-{i}/{cmd}", [cmd, "--curve", path, *SMALL]
-            yield f"{family}-{i}/area-default", ["area", "--curve", path]
+    for name, spec in {**specs, **_extra_specs()}.items():
+        path = f"curves/{name}.json"
+        Path(path).write_text(json.dumps(spec, indent=1) + "\n")
+        for cmd in COMMANDS:
+            yield f"{name}/{cmd}", [cmd, "--curve", path, *SMALL]
+        yield f"{name}/area-default", ["area", "--curve", path]
 
 
 def main(argv=None) -> int:

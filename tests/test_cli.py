@@ -7,10 +7,11 @@ import subprocess
 import sys
 
 import pytest
+from test_plateau import C_SHAPE
 
 from bvplateau import plateau
 from bvplateau.cli import _build_parser, main
-from bvplateau.curveio import BUILTIN_NAMES, builtin_curve, dump_curve
+from bvplateau.curveio import BUILTIN_NAMES, builtin_curve, constant_curve, dump_curve
 from bvplateau.curves import completed_curve
 from bvplateau.homogeneous import ExtensionParams, relaxed_area
 from bvplateau.relaxation import slicing_check
@@ -84,6 +85,14 @@ def test_plateau_constant(tmp_path):
     assert rep["winding_grid"]["stderr"] > 0.0
 
 
+def test_plateau_on_a_far_constant_curve(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dump_curve(constant_curve([1e12, 1e12]))))
+    code, _, rep = run(tmp_path, "plateau", "--curve", str(path), "--mesh-h", "0.3")
+    assert code == 0
+    assert rep["winding_grid"] == {"value": 0.0, "stderr": 0.0, "resolution": 64, "samples": 0}
+
+
 def test_area_report(tmp_path):
     code, _, rep = run(
         tmp_path, "area", "--builtin", "triple", "--mesh-h", "0.15", "--radius", "1"
@@ -139,6 +148,24 @@ def test_plateau_exits_3_on_an_open_bracket(tmp_path):
     cert = rep["plateau"]
     assert cert["termination"] == "stationary"
     assert cert["gap_flag"] is True
+    assert cert["converged"] is False
+
+
+def test_plateau_exits_3_on_a_failed_line_search(tmp_path, monkeypatch):
+    # a C-shaped polygon, whose radial start leaves the bracket open
+    path = tmp_path / "c_shape.json"
+    path.write_text(json.dumps({"pieces": [{
+        "type": "arc", "theta0": 0.0, "theta1": 2 * math.pi,
+        "path": {"kind": "polyline", "points": C_SHAPE.vertices.tolist()},
+        "ac": {"kind": "linear", "total": C_SHAPE.length},
+    }]}))
+    monkeypatch.setattr(plateau, "_energy_only", lambda *args: math.inf)
+    code, out, rep = run(tmp_path, "plateau", "--curve", str(path), "--mesh-h", "0.3")
+    assert code == 3
+    assert (out / "report.json").exists()
+    cert = rep["plateau"]
+    assert cert["termination"] == "line_search_failed"
+    assert cert["iterations"] == 0
     assert cert["converged"] is False
 
 
@@ -218,6 +245,9 @@ def test_exit_2_on_non_finite_or_nonpositive_input(tmp_path, argv):
     ["tv", "--delta-schedule", "0"],
     ["tv", "--eps", "-5"],
     ["tv", "--ks", ""],
+    ["tv", "--ks", "2,x"],
+    ["tv", "--delta-schedule", "1e-1,x"],
+    ["tv", "--delta-schedule", ","],
     ["tv", "--seed", "-1"],
     ["tv", "--mesh-h", "1.5"],
     ["complete", "--ks", "4,2"],
@@ -283,10 +313,10 @@ def test_emit_svg_mesh_for_recovery(tmp_path, monkeypatch):
         "--mesh-h", "0.2", "--ks", "2", "--emit-svg",
     )
     assert code == 0
-    # the figure draws the report's own recovery map; the datum filler's rim
-    # cannot match the jumpy profile, so only the angle-matched filler for
-    # k = 2 is minimised
-    assert len(calls) == 1
+    # the figure draws the report's own recovery map; two minimisations run:
+    # the area certificate's constant-speed filler, whose rim cannot match the
+    # jumpy profile, and the angle-matched filler for k = 2
+    assert len(calls) == 2
     assert (out / "mesh.svg").exists()
     assert (out / "curve.svg").exists()
 

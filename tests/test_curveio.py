@@ -249,6 +249,34 @@ def test_bad_value_in_long_profile_names_its_index(k, value, message):
     assert str(e.value) == f"$.pieces[0].cantor.samples[{k}]: {message}"
 
 
+@pytest.mark.parametrize(
+    "spec, keys, value, message",
+    [
+        (_segment_spec, ("pieces", 0), 5, "$.pieces[0]: expected an object, got int"),
+        (_segment_spec, ("pieces", 0, "path", "points", 1), [1, 0, 0],
+         "$.pieces[0].path.points[1]: expected [x, y], got [1, 0, 0]"),
+        (_segment_spec, ("pieces", 0, "path", "points"), [[0, 0]],
+         "$.pieces[0].path.points: need at least 2 points"),
+        (_quarter_circle_spec, ("pieces", 0, "cantor", "samples"), [0],
+         "$.pieces[0].cantor.samples: need at least 2 values"),
+        (_segment_spec, ("pieces", 0, "ac", "kind"), "cubic",
+         "$.pieces[0].ac.kind: unknown mass kind 'cubic'"),
+        (_segment_spec, ("pieces",), [], "$.pieces: expected a nonempty list"),
+        (_segment_spec, ("pieces", 0, "type"), "spline",
+         "$.pieces[0].type: unknown piece type 'spline'"),
+    ],
+    ids=["piece-not-object", "bad-point", "one-point", "one-sample", "mass-kind",
+         "no-pieces", "piece-type"],
+)
+def test_malformed_spec_is_format_error_at_its_locator(spec, keys, value, message):
+    data = spec()
+    parse_curve(data)  # the spec is valid before the edit
+    _set(data, keys, value)
+    with pytest.raises(CurveFormatError) as e:
+        parse_curve(data)
+    assert str(e.value) == message
+
+
 @pytest.mark.parametrize("radius", [0, 0.0, -1, -1e-300])
 def test_nonpositive_circle_radius_is_format_error(radius):
     data = _quarter_circle_spec()

@@ -41,6 +41,7 @@ from bvplateau.curveio import (
     dump_curve,
     load_curve,
 )
+from bvplateau.geometry import normalize_angle
 
 TWO_PI = 2 * math.pi
 
@@ -111,6 +112,17 @@ def test_triple_one_sided_values():
     assert np.array_equal(evaluate_many(curve, [0.0])[0], a)
     assert np.array_equal(evaluate_many(curve, [2.0])[0], b)
     assert np.array_equal(evaluate_many(curve, [4.0])[0], g)
+
+
+def test_evaluate_rejects_an_unknown_side():
+    with pytest.raises(ValueError, match="side must be 'left' or 'right', got 'up'"):
+        evaluate_many(builtin_curve("triple"), [0.0], side="up")
+
+
+@pytest.mark.parametrize("theta, want", [(-1.0, TWO_PI - 1.0), (-1e-20, 0.0), (TWO_PI, 0.0)])
+def test_normalize_angle_folds_into_one_period(theta, want):
+    # -1e-20 + 2*pi rounds to 2*pi, which must fold to 0
+    assert normalize_angle(theta) == want
 
 
 def test_cantor_arc_midpoint():
@@ -206,6 +218,13 @@ def test_validate_sampled_endpoint():
     bad_mass = CumulativeVariation(np.array([0.1, 0.5, 1.0]))
     arc = Arc(0.0, TWO_PI, PolylinePath(np.array([[0, 0], [1, 0]], dtype=float)), bad_mass)
     with pytest.raises(CurveValidationError) as e:
+        validate(Curve((arc,)))
+    assert _kind(e) == "cumulative-samples"
+
+
+def test_validate_one_sample_profile():
+    arc = Arc(0.0, TWO_PI, PointPath([0.0, 0.0]), CumulativeVariation(np.array([0.0])))
+    with pytest.raises(CurveValidationError, match=">= 2 samples") as e:
         validate(Curve((arc,)))
     assert _kind(e) == "cumulative-samples"
 
@@ -404,6 +423,11 @@ def test_completed_cantor_arc_closes_gap():
     expect = math.pi / 2 + math.sqrt(2)
     assert poly.length <= expect + 1e-12
     assert abs(poly.length - expect) < 1e-6
+
+
+def test_completed_needs_two_vertices():
+    with pytest.raises(ValueError, match="n_vertices"):
+        completed_curve(builtin_curve("triple"), 1)
 
 
 def test_completed_constant_degenerate():

@@ -188,6 +188,19 @@ def test_minimize_leaves_start_alone():
     assert np.array_equal(result.dmap.values[rim], values[rim])
 
 
+def test_failed_line_search_takes_no_step(monkeypatch):
+    # every trial energy is inf: no Armijo decrease exists, and no stage steps
+    monkeypatch.setattr(plateau, "_energy_only", lambda *args: math.inf)
+    opts = PlateauOptions(mesh_h=0.3)
+    start = _datum_start(C_SHAPE, opts.mesh_h)
+    result = jacobian_tv_minimize(start.mesh, start.values, opts, winding_area(C_SHAPE))
+    assert result.terminations == ("line_search_failed",) * len(opts.delta_schedule)
+    assert result.converged is False
+    assert result.iterations == 0
+    assert all(iters == 0 for _, iters, _ in result.stages)
+    assert result.energy == jacobian_tv(start)
+
+
 @st.composite
 def star_polygons(draw):
     """Polygons star-shaped about a random centre, 3 to 8 vertices."""

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from bvplateau import relaxation
-from bvplateau.curveio import builtin_curve, constant_curve
+from bvplateau.curveio import builtin_curve, constant_curve, load_curve
 from bvplateau.curves import completed_curve, evaluate_many, mollify_sequence
-from bvplateau.geometry import triangle_dets
-from bvplateau.homogeneous import ExtensionParams
+from bvplateau.geometry import TWO_PI, triangle_dets
+from bvplateau.homogeneous import ExtensionParams, relaxed_area
 from bvplateau.meshing import make_disk_mesh
 from bvplateau.plateau import (
     COMPLETION_VERTICES,
@@ -244,6 +244,7 @@ def test_report_constant_speed_filler_is_plateau_values(name):
     opts = PlateauOptions(mesh_h=0.3)
     rep = strict_convergence_report(curve, ExtensionParams(), (2,), opts)
     assert rep.filler_jacobian_tv[0] == plateau_value(curve, opts).upper
+    assert rep.area_target == relaxed_area(curve, ExtensionParams(), opts).relaxed_lower
 
 
 def test_report_mollifies_each_k_once(monkeypatch):
@@ -263,7 +264,7 @@ def test_report_mollifies_each_k_once(monkeypatch):
     assert calls == list(ks)
 
 
-@pytest.mark.parametrize("name, checks", [("vortex", 3), ("triple", 6)])
+@pytest.mark.parametrize("name, checks", [("vortex", 1), ("triple", 6)])
 def test_report_checks_each_seam_once(monkeypatch, name, checks):
     real = relaxation._seam_values
     calls = []
@@ -276,10 +277,33 @@ def test_report_checks_each_seam_once(monkeypatch, name, checks):
     rep = strict_convergence_report(builtin_curve(name), ExtensionParams(), ks=(2, 4, 8),
                                     options=PlateauOptions(mesh_h=0.3))
     assert rep.jacobian_matched is True
-    # vortex: the radial start's check serves the constant-speed filler for
-    # every k; triple: each start check fails, and each profile filler is
-    # checked once more
+    # vortex: one profile for every k, checked once against the constant-speed
+    # filler; triple: each k's check against it fails, and each profile filler
+    # is checked once more
     assert len(calls) == checks
+
+
+def test_report_fills_an_unchanged_profile_once(monkeypatch):
+    # a unit circle traced at non-constant speed: mollify_sequence returns it
+    # unchanged for every k, and the constant-speed rim does not match it
+    curve = load_curve({"pieces": [{
+        "type": "arc", "theta0": 0.0, "theta1": TWO_PI,
+        "path": {"kind": "circle_arc", "center": [0, 0], "radius": 1, "phi0": 0, "phi1": TWO_PI},
+        "ac": {"kind": "sampled", "samples": [0, 1, 2, TWO_PI]},
+    }]})
+    real = relaxation.minimize_for_profile
+    calls = []
+
+    def counting(phi, options):
+        calls.append(phi)
+        return real(phi, options)
+
+    monkeypatch.setattr(relaxation, "minimize_for_profile", counting)
+    rep = strict_convergence_report(curve, ExtensionParams(), ks=(2, 4, 8, 16, 32),
+                                    options=PlateauOptions(mesh_h=0.3))
+    assert rep.jacobian_matched is True
+    assert calls == [curve]
+    assert len(set(rep.filler_jacobian_tv)) == 1
 
 
 # ---------------------------------------------------------------- slicing

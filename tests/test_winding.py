@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 from test_plateau import star_polygons
 
 from bvplateau import ClosedPolyline, completed_curve, winding
-from bvplateau.curveio import BUILTIN_NAMES, builtin_curve
+from bvplateau.curveio import BUILTIN_NAMES, builtin_curve, constant_curve
 from bvplateau.winding import (
     ArrangementError,
+    GridEstimate,
     _candidate_pairs,
     _cut_parameters,
     _poly_scale,
@@ -625,6 +626,12 @@ def test_grid_deterministic():
     e1 = winding_area_grid(BOWTIE, resolution=32, seed=9)
     e2 = winding_area_grid(BOWTIE, resolution=32, seed=9)
     assert e1.value == e2.value and e1.stderr == e2.stderr
+
+
+def test_grid_on_a_zero_box():
+    # a far constant curve: the box's pad vanishes beside 1e12, so it has no area
+    poly = completed_curve(constant_curve([1e12, 1e12]), 512)
+    assert winding_area_grid(poly, 64) == GridEstimate(0.0, 0.0, 64, 0)
 
 
 def test_grid_resolution_floor():
