@@ -7,14 +7,18 @@ single parser.  _run checks every option, whichever command reads it,
 and builds the ExtensionParams and PlateauOptions once.  A command reads
 only those and the resolved configuration, the dict embedded in
 report.json, and writes nothing: it returns its report fields, its
-report.csv rows, the figure objects it has and its exit code.  The rows
-hold plain Python values, and csv formats them: a float is written as
-its repr.  _run alone writes report.json, report.csv and, under
---emit-svg, curve.svg (the command's polyline, else the completion with
-the COMPLETE_VERTICES budget for circle arcs; straight pieces give their
-corners only) and mesh.svg.  Reports are byte-identical across reruns
-with equal flags.  The parser is built on the first main call and
-shared by every later call in the process; callers must not mutate it.
+report.csv rows, its figures and its exit code.  The rows hold plain
+Python values, and csv formats them: a float is written as its repr.
+_run alone writes report.json, report.csv and, under --emit-svg,
+curve.svg (the command's polyline, else the completion with the
+COMPLETE_VERTICES budget for circle arcs; straight pieces give their
+corners only) and mesh.svg.  The map mesh.svg draws is asked for only
+then: on a simple trace the Plateau certificate's constant-speed filler
+is minimised for that figure alone.  Each file is rewritten in place and
+then cut to its new length, so an interrupted write can leave old and
+new bytes mixed.  Reports are byte-identical across reruns with equal
+flags.  The parser is built on the first main call and shared by every
+later call in the process; callers must not mutate it.
 
 Exit codes: 0 success; 2 invalid input or configuration; 3, with the
 reports still written, when `plateau` or `area` reports a bracket that
@@ -36,7 +40,7 @@ import io
 import json
 import os
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .curveio import BUILTIN_NAMES, CurveFormatError, builtin_curve, load_curve
 from .curves import ClosedPolyline, CurveValidationError, completed_curve, total_variation
@@ -53,12 +57,13 @@ COMPLETE_VERTICES = 256
 class _Result(NamedTuple):
     """What a command returns: report.json fields besides config, the
     report.csv rows (header first; None for no file), its figures and its
-    exit code."""
+    exit code.  mesh_map gives mesh.svg's map and is called only under
+    --emit-svg."""
 
     report: dict
     rows: list | None = None
     poly: ClosedPolyline | None = None
-    dmap: DiscreteMap | None = None
+    mesh_map: Callable[[], DiscreteMap] | None = None
     code: int = 0
 
 
@@ -88,7 +93,7 @@ def _cmd_plateau(curve, config, params, options):
     grid = winding_area_grid(cert.poly, resolution=64, seed=config["seed"])
     return _Result(
         {"plateau": _record_json(cert), "winding_grid": _record_json(grid)},
-        poly=cert.poly, dmap=cert.result.dmap, code=0 if cert.converged else 3,
+        poly=cert.poly, mesh_map=lambda: cert.result.dmap, code=0 if cert.converged else 3,
     )
 
 
@@ -96,7 +101,7 @@ def _cmd_area(curve, config, params, options):
     rep = relaxed_area(curve, params, options)
     return _Result(
         {**_record_json(rep), "plateau": _record_json(rep.plateau)},
-        poly=rep.plateau.poly, dmap=rep.plateau.result.dmap,
+        poly=rep.plateau.poly, mesh_map=lambda: rep.plateau.result.dmap,
         code=0 if rep.plateau.converged else 3,
     )
 
@@ -122,7 +127,7 @@ def _cmd_verify_recovery(curve, config, params, options):
         report,
         [["k", "l1_error", "tv_value", "area_value", "jacobian_tv", "filler_jacobian_tv"]]
         + list(zip(*columns)),
-        dmap=rep.recovery_map, code=0 if ok else 3,
+        mesh_map=lambda: rep.recovery_map, code=0 if ok else 3,
     )
 
 
@@ -230,12 +235,16 @@ def _run(args: argparse.Namespace) -> int:
     if config["emit_svg"]:
         poly = result.poly if result.poly is not None else completed_curve(curve, COMPLETE_VERTICES)
         files["curve.svg"] = curve_svg(poly)
-        if result.dmap is not None:
-            files["mesh.svg"] = mesh_svg(result.dmap)
+        if result.mesh_map is not None:
+            files["mesh.svg"] = mesh_svg(result.mesh_map())
     os.makedirs(outdir, exist_ok=True)
     for name, text in files.items():
-        with open(os.path.join(outdir, name), "w", newline="") as f:
+        # not truncated to zero first: on some file systems that makes the
+        # close start writeback, and the next truncation waits for it
+        fd = os.open(os.path.join(outdir, name), os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", newline="") as f:
             f.write(text)
+            f.truncate()
     return result.code
 
 

@@ -506,8 +506,10 @@ class ClosedPolyline(PolylinePath):
 
     def __post_init__(self):
         v = np.asarray(self.points, dtype=float).reshape(-1, 2)
-        if len(v) < 2 or not np.array_equal(v[0], v[-1]):
-            object.__setattr__(self, "points", np.vstack([v, v[:1]]))
+        # a closing row equal to the first is replaced by its bit copy:
+        # equal rows can differ in the sign of a zero
+        closed = len(v) >= 2 and np.array_equal(v[0], v[-1])
+        object.__setattr__(self, "points", np.vstack([v[:-1] if closed else v, v[:1]]))
         super().__post_init__()
 
     @property

@@ -18,6 +18,22 @@ E0 is minimised through the smoothed energies
 sum_T area_T sqrt(J_T**2 + delta**2)) with a decreasing delta schedule,
 Barzilai-Borwein steps and Armijo backtracking.
 
+plateau_value closes the bracket exactly when the completed datum is
+a simple closed polygon, and builds no mesh then.  By the Jordan curve
+theorem the winding number is 1 or -1 inside the polygon and 0 outside,
+so the winding area is its enclosed area.  Every simple polygon has a
+triangulation with no new vertices (Meisters 1975, "Polygons have
+ears").  Carry it to an L-gon inscribed in the disk, vertex for vertex,
+and map each triangle affinely onto its image and each circular cap
+outside the L-gon onto its edge.  That map attains the datum, every
+triangle keeps one orientation and the caps have zero Jacobian, so its
+E0 is the area.  The bracket is closed, upper = lower bit for bit, and
+the certificate reports what a run closed at its start reports: 0
+iterations, termination bracket_closed, the first delta and mesh_h.
+The constant-speed filler (the certificate's start and result) is then
+built only when something reads it.  Other traces go through the
+minimiser below.
+
 jacobian_tv_minimize(mesh, start, options, lower) descends from the
 start values and keeps their rim, so every iterate's E0 is a valid upper
 bound.  plateau_value starts it from the radial map whose rim traverses
@@ -45,6 +61,7 @@ STALL_RTOL, which hit max_iters in the first stage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,7 +70,7 @@ import numpy as np
 from .curves import ClosedPolyline, Curve, completed_curve
 from .geometry import triangle_dets
 from .meshing import TriMesh, make_disk_mesh
-from .winding import winding_area
+from .winding import _winding_area_simple
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,9 +120,17 @@ class PlateauCertificate:
     gap_flag marks brackets with upper > GAP_RATIO * lower + 1e-9, where
     the computed upper end should not be quoted as the value itself.
     converged means the minimisation converged and gap_flag is clear: a
-    stationary stop above the gap is not a converged bracket.
-    poly is the completed datum and result the minimisation behind the
-    upper end; neither takes part in comparisons.
+    stationary stop above the gap is not a converged bracket.  On a
+    simple trace no stage runs (see the module docstring): upper is
+    lower, iterations 0, termination bracket_closed, delta_final the
+    first delta and h the mesh_h of options.
+
+    poly is the completed datum, start the radial start whose rim
+    traverses it at constant speed, and result the minimisation from
+    start; start and result are built on first read, at most once, and
+    plateau_value fills both when the minimiser made upper.  On a simple
+    trace upper is not result.energy, which lies at or above it.  poly
+    and options take no part in comparisons.
     """
 
     lower: float
@@ -117,7 +142,15 @@ class PlateauCertificate:
     termination: str
     gap_flag: bool
     poly: ClosedPolyline = field(compare=False, repr=False)
-    result: MinimizeResult = field(compare=False, repr=False)
+    options: PlateauOptions = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def start(self) -> DiscreteMap:
+        return _datum_start(self.poly, self.options.mesh_h)
+
+    @functools.cached_property
+    def result(self) -> MinimizeResult:
+        return jacobian_tv_minimize(self.start.mesh, self.start.values, self.options, self.lower)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,18 +341,23 @@ def plateau_value(
     """Bracket the least sweeping area of a boundary curve.
 
     Curves are completed to their chord-filled polyline at
-    COMPLETION_VERTICES first.  The upper end minimises from the
-    radial start whose rim traverses that polyline at constant speed.  The
-    mesh always lives on the unit disk: the bracket depends on the datum
-    only.
+    COMPLETION_VERTICES first.  A simple polyline gets the exact
+    certificate upper = lower.  Otherwise the upper end minimises from
+    the radial start whose rim traverses that polyline at constant speed.
+    The mesh always lives on the unit disk: the bracket depends on the
+    datum only.
     """
     poly = completed_curve(datum, COMPLETION_VERTICES) if isinstance(datum, Curve) else datum
-    lower = winding_area(poly)
+    lower, simple = _winding_area_simple(poly)
+    if simple:
+        first_delta = float(options.delta_schedule[0])
+        return PlateauCertificate(lower, lower, first_delta, options.mesh_h, 0, True,
+                                  "bracket_closed", False, poly, options)
     start = _datum_start(poly, options.mesh_h)
     result = jacobian_tv_minimize(start.mesh, start.values, options, lower)
     upper = result.energy
     gap = upper > GAP_RATIO * lower + 1e-9
-    return PlateauCertificate(
+    cert = PlateauCertificate(
         lower,
         upper,
         result.stages[-1][0],
@@ -329,5 +367,7 @@ def plateau_value(
         result.terminations[-1],
         gap,
         poly,
-        result,
+        options,
     )
+    vars(cert).update(start=start, result=result)
+    return cert

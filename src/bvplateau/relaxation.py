@@ -202,11 +202,13 @@ def strict_convergence_report(
     scaled variation, and graph area and Jacobian mass of the glued
     recovery map for every k (each k at least 2).
 
-    area_target is relaxed_area's relaxed_lower, and the constant-speed
-    filler is the minimisation behind its Plateau upper end.  That filler
-    serves each distinct mollified profile its pinned rim matches; any
-    other (jumps, a speed that is not constant) gets one angle-matched
-    filler of its own.  R * TV is tangential_variation.
+    area_target is relaxed_area's relaxed_lower.  The constant-speed
+    filler is its certificate's result: it serves each distinct mollified
+    profile its pinned rim matches, and any other (jumps, a speed that is
+    not constant) gets one angle-matched filler of its own.  The seam
+    check runs on the certificate's radial start, whose rim the
+    minimisation keeps, so the filler is minimised only when some k
+    accepts that rim.  R * TV is tangential_variation.
     """
     ks = tuple(int(k) for k in ks)
     if not ks or ks[0] < 2 or any(b <= a for a, b in zip(ks, ks[1:])):
@@ -227,11 +229,13 @@ def strict_convergence_report(
         l1s.append(0.5 * ell * ell * l1_distance(curve, phi, params.nodes))
         tvs.append(tangential_variation(phi, params))
         if phi not in fits:
-            fit = rep.plateau.result
-            seam = _seam_values(phi, fit.dmap)
+            # the start's rim is the minimised filler's, bit for bit
+            seam = _seam_values(phi, rep.plateau.start)
             if seam is None:
                 fit = minimize_for_profile(phi, options)
                 seam = _seam_values(phi, fit.dmap)
+            else:
+                fit = rep.plateau.result
             fits[phi] = fit, seam
         fit, seam = fits[phi]
         vk = _glue(params, k, fit.dmap, seam, options.mesh_h)

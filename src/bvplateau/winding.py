@@ -24,7 +24,8 @@ the face walk, one math.fsum per face over the shoelace terms (formed as
 one array), and the winding propagation.  winding_area skips it when the
 chain is one simple cycle: by the Jordan curve theorem the winding area
 is then the |shoelace area|, and that is the face stage's own value, bit
-for bit (see winding_area).
+for bit (see winding_area).  The Plateau bracket reads the same test:
+_winding_area_simple also says whether the chain was one simple cycle.
 
 A Monte Carlo cross-check on a jittered stratified grid, sampled once,
 is provided as an independent estimator with a standard error.  Its
@@ -493,6 +494,13 @@ def winding_area(poly: ClosedPolyline) -> float:
     face gets winding +1 or -1 with no conflict: no ArrangementError can
     be raised, and the winding area is |A|.
     """
+    return _winding_area_simple(poly)[0]
+
+
+def _winding_area_simple(poly: ClosedPolyline) -> tuple[float, bool]:
+    """winding_area(poly), and whether the chain stage found one simple
+    cycle, the case winding_area takes in closed form.  plateau_value
+    reads the flag: on a simple trace its bracket closes at the area."""
     verts, tail, head, scale = _chain(poly)
     nv = len(verts)
     if (
@@ -502,8 +510,9 @@ def winding_area(poly: ClosedPolyline) -> float:
         and np.all(np.bincount(tail, minlength=nv) == 1)
     ):
         x, y = verts[:, 0], verts[:, 1]
-        return 0.5 * abs(math.fsum(shoelace_terms(x[tail], y[tail], x[head], y[head]).tolist()))
-    return Arrangement(verts, _faces(verts, tail, head, scale)).winding_area
+        area = 0.5 * abs(math.fsum(shoelace_terms(x[tail], y[tail], x[head], y[head]).tolist()))
+        return area, True
+    return Arrangement(verts, _faces(verts, tail, head, scale)).winding_area, False
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ runs are:
   * `area` and `plateau` on the four builtins at default flags;
   * the seven commands at `--mesh-h 0.2 --ks 2,4,8`, and `area` at default
     flags, on 24 curves from `perfbench/gen.py` (6 per family, seed 0) and
-    on the two curves of `_extra_specs`.
+    on the two curves of `_extra_specs`, whose runs add `--emit-svg`: the
+    c-jump trace is simple, so its `mesh.svg` draws a filler minimised only
+    for that figure, from a start the minimiser moves.
 
 Every run uses paths relative to OUTDIR, so two trees written from
 different checkouts should be byte-identical: `diff -r A B`.  The script
@@ -83,12 +85,14 @@ def _runs():
     specs = {f"{family}-{i}": make_curve(family, rng, i)["spec"]
              for family in FAMILIES for i in range(6)}
     os.makedirs("curves", exist_ok=True)
-    for name, spec in {**specs, **_extra_specs()}.items():
+    extras = _extra_specs()
+    for name, spec in {**specs, **extras}.items():
         path = f"curves/{name}.json"
         Path(path).write_text(json.dumps(spec, indent=1) + "\n")
+        svg = ["--emit-svg"] if name in extras else []
         for cmd in COMMANDS:
-            yield f"{name}/{cmd}", [cmd, "--curve", path, *SMALL]
-        yield f"{name}/area-default", ["area", "--curve", path]
+            yield f"{name}/{cmd}", [cmd, "--curve", path, *SMALL, *svg]
+        yield f"{name}/area-default", ["area", "--curve", path, *svg]
 
 
 def main(argv=None) -> int:

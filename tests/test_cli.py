@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from test_plateau import C_SHAPE
+from test_plateau import C_CROSSED, count_calls
 
 from bvplateau import plateau
 from bvplateau.cli import _build_parser, main
@@ -152,12 +152,12 @@ def test_plateau_exits_3_on_an_open_bracket(tmp_path):
 
 
 def test_plateau_exits_3_on_a_failed_line_search(tmp_path, monkeypatch):
-    # a C-shaped polygon, whose radial start leaves the bracket open
-    path = tmp_path / "c_shape.json"
+    # a self-crossing C, whose radial start leaves the bracket open
+    path = tmp_path / "c_crossed.json"
     path.write_text(json.dumps({"pieces": [{
         "type": "arc", "theta0": 0.0, "theta1": 2 * math.pi,
-        "path": {"kind": "polyline", "points": C_SHAPE.vertices.tolist()},
-        "ac": {"kind": "linear", "total": C_SHAPE.length},
+        "path": {"kind": "polyline", "points": C_CROSSED.vertices.tolist()},
+        "ac": {"kind": "linear", "total": C_CROSSED.length},
     }]}))
     monkeypatch.setattr(plateau, "_energy_only", lambda *args: math.inf)
     code, out, rep = run(tmp_path, "plateau", "--curve", str(path), "--mesh-h", "0.3")
@@ -297,28 +297,35 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
 
 
 def test_emit_svg_mesh_for_recovery(tmp_path, monkeypatch):
-    # count minimisations through every module namespace that binds the minimiser
-    real = plateau.jacobian_tv_minimize
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("bvplateau") and getattr(mod, "jacobian_tv_minimize", None) is real:
-            monkeypatch.setattr(mod, "jacobian_tv_minimize", counting)
+    calls = count_calls(monkeypatch, plateau.jacobian_tv_minimize)
     code, out, _ = run(
         tmp_path, "verify-recovery", "--builtin", "triple",
         "--mesh-h", "0.2", "--ks", "2", "--emit-svg",
     )
     assert code == 0
-    # the figure draws the report's own recovery map; two minimisations run:
-    # the area certificate's constant-speed filler, whose rim cannot match the
-    # jumpy profile, and the angle-matched filler for k = 2
-    assert len(calls) == 2
+    # the figure draws the report's own recovery map; one minimisation runs,
+    # the angle-matched filler for k = 2: the area certificate's constant-speed
+    # rim cannot match the jumpy profile, so its filler is never minimised
+    assert len(calls) == 1
     assert (out / "mesh.svg").exists()
     assert (out / "curve.svg").exists()
+
+
+def test_shorter_report_overwrites_a_longer_one(tmp_path):
+    # reports are rewritten in place, then cut to their new length
+    out = str(tmp_path / "out")
+    argv = ["--builtin", "vortex", "--emit-svg", "--out", out]
+    assert main(["tv", *argv]) == 0
+    fresh = {name: (tmp_path / "out" / name).read_bytes() for name in os.listdir(out)}
+    for name in fresh:
+        os.remove(os.path.join(out, name))
+    assert main(["complete", *argv]) == 0
+    longer = {name: (tmp_path / "out" / name).stat().st_size for name in fresh}
+    assert main(["tv", *argv]) == 0
+    assert sorted(os.listdir(out)) == sorted(fresh)
+    assert any(longer[name] > len(text) for name, text in fresh.items())
+    for name, text in fresh.items():
+        assert (tmp_path / "out" / name).read_bytes() == text
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference_arrangement import polygon_signed_area
 
@@ -463,6 +463,7 @@ def _chain_point_at(chain, theta):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1))
+@example(2743)  # the chain closes on (0, -0.0) after starting at (0, 0.0)
 def test_point_at_is_the_closed_chain_interpolation(seed):
     # point_at goes through PolylinePath.point_at_arclength, which clips
     # to [0, length]; the bits must not move

@@ -7,11 +7,12 @@ Jacobian total variation dominates the winding area of its datum.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 import reference_plateau as reference
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bvplateau import ClosedPolyline, completed_curve, plateau
@@ -22,7 +23,9 @@ from bvplateau.meshing import make_disk_mesh
 from bvplateau.plateau import (
     BRACKET_RTOL,
     COMPLETION_VERTICES,
+    GAP_RATIO,
     DiscreteMap,
+    PlateauCertificate,
     PlateauOptions,
     _datum_start,
     _energy_grad,
@@ -33,7 +36,7 @@ from bvplateau.plateau import (
     origin_value,
     plateau_value,
 )
-from bvplateau.winding import winding_area
+from bvplateau.winding import _winding_area_simple, winding_area
 
 QUICK = PlateauOptions(mesh_h=0.15, max_iters=4000)
 
@@ -157,20 +160,29 @@ def test_centroid_of_square():
 _T = np.linspace(math.radians(30), math.radians(330), 12)
 _ARC = np.stack([np.cos(_T), np.sin(_T)], axis=-1)
 C_SHAPE = ClosedPolyline(np.vstack([_ARC, 0.5 * _ARC[::-1]]))
+# the same C with inner vertices 14 and 15 swapped: a self-crossing polygon,
+# so its bracket goes through the minimiser (at mesh_h 0.2 its start is
+# 3.133 against the winding area 1.916, and it closes after 181 steps)
+C_CROSSED = ClosedPolyline(C_SHAPE.vertices[:-1][[*range(14), 15, 14, *range(16, 24)]])
 
 
-@pytest.mark.parametrize("datum", ["triple", "figure-eight", "c-shape"])
+@pytest.mark.parametrize("datum", ["triple", "figure-eight", "c-shape", "c-crossed"])
 def test_upper_never_above_radial_start(datum):
     opts = PlateauOptions(mesh_h=0.2)
-    poly = C_SHAPE if datum == "c-shape" else completed_curve(builtin_curve(datum), 512)
+    polys = {"c-shape": C_SHAPE, "c-crossed": C_CROSSED}
+    poly = polys[datum] if datum in polys else completed_curve(builtin_curve(datum), 512)
     start = jacobian_tv(_datum_start(poly, opts.mesh_h))
     cert = plateau_value(poly, opts)
     assert cert.upper <= start
     assert cert.termination == "bracket_closed" and cert.converged
+    if datum in ("triple", "c-shape"):
+        # simple traces close exactly, with no minimisation
+        assert cert.upper == cert.lower and cert.iterations == 0
+        return
     assert cert.result.terminations[-1] == cert.termination
     assert len(cert.result.terminations) == len(cert.result.stages)
     assert cert.delta_final == cert.result.stages[-1][0]
-    if datum == "c-shape":
+    if datum == "c-crossed":
         assert cert.iterations > 0
         assert cert.upper < 0.7 * start
 
@@ -202,25 +214,130 @@ def test_failed_line_search_takes_no_step(monkeypatch):
 
 
 @st.composite
-def star_polygons(draw):
-    """Polygons star-shaped about a random centre, 3 to 8 vertices."""
+def star_polygons(draw, simple=False):
+    """Polygons star-shaped about a random centre, 3 to 8 vertices.  A gap
+    of pi or more between neighbouring angles can make the chain cross
+    itself; simple=True rejects those draws."""
     n = draw(st.integers(3, 8))
     gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    if simple:
+        assume(2.0 * np.max(gaps) < np.sum(gaps))
     radii = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
     centre = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
     ang = 2 * math.pi * np.cumsum(gaps) / np.sum(gaps)
     return ClosedPolyline(centre + radii[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(star_polygons())
-def test_bracket_valid_and_closed_on_star_polygons(poly):
+@st.composite
+def crossing_star_polygons(draw):
+    """Star polygons {n/k}: n points at increasing angles about a random
+    centre, joined k apart, so the chain crosses itself and winds k times."""
+    n, k = draw(st.sampled_from([(5, 2), (7, 2), (7, 3), (8, 3)]))
+    gaps = np.array(draw(st.lists(st.floats(0.5, 1.0), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)))
+    centre = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
+    order = np.arange(n) * k % n
+    ang = (2 * math.pi * np.cumsum(gaps) / np.sum(gaps))[order]
+    return ClosedPolyline(centre + radii[order, None] * np.stack([np.cos(ang), np.sin(ang)], -1))
+
+
+def assert_bracket_valid_and_closed(poly):
     cert = plateau_value(poly, PlateauOptions(mesh_h=0.3))
     scale2 = float(np.max(np.sum(poly.vertices**2, axis=1)))
     assert cert.upper >= cert.lower - 1e-12 * scale2
     assert cert.termination == "bracket_closed"
     # the stop reads a plain sum of E0, the report its correctly rounded value
     assert cert.upper - cert.lower <= 2 * BRACKET_RTOL * max(cert.lower, scale2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(star_polygons())
+def test_bracket_valid_and_closed_on_star_polygons(poly):
+    assert_bracket_valid_and_closed(poly)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(crossing_star_polygons())
+def test_bracket_valid_and_closed_on_crossing_star_polygons(poly):
+    # the simple stars above close exactly; these reach the minimiser
+    assert not _winding_area_simple(poly)[1]
+    assert_bracket_valid_and_closed(poly)
+
+
+# ---------------------------------------------------------------- exact path
+
+
+def count_calls(mp, real):
+    """Calls of real, counted through every module namespace of the package
+    that binds it, patched on the MonkeyPatch mp."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("bvplateau") and getattr(mod, real.__name__, None) is real:
+            mp.setattr(mod, real.__name__, counting)
+    return calls
+
+
+def assert_closed_exactly_with_no_mesh(datum, opts):
+    with pytest.MonkeyPatch.context() as mp:
+        meshes = count_calls(mp, make_disk_mesh)
+        minimisations = count_calls(mp, jacobian_tv_minimize)
+        cert = plateau_value(datum, opts)
+    assert cert.upper == cert.lower
+    assert (cert.iterations, cert.termination, cert.converged, cert.gap_flag) == (
+        0, "bracket_closed", True, False)
+    assert (cert.delta_final, cert.h) == (opts.delta_schedule[0], opts.mesh_h)
+    assert (len(meshes), len(minimisations)) == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["triple", "vortex", "cantor-arc", "c-shape"])
+def test_simple_trace_closes_exactly_with_no_mesh(name):
+    datum = C_SHAPE if name == "c-shape" else builtin_curve(name)
+    assert_closed_exactly_with_no_mesh(datum, PlateauOptions())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(star_polygons(simple=True))
+def test_simple_star_polygons_close_exactly_with_no_mesh(poly):
+    assert_closed_exactly_with_no_mesh(poly, PlateauOptions(mesh_h=0.3))
+
+
+def test_filler_of_a_simple_trace_is_minimised_once_on_first_read(monkeypatch):
+    opts = PlateauOptions(mesh_h=0.2)
+    cert = plateau_value(C_SHAPE, opts)
+    minimisations = count_calls(monkeypatch, jacobian_tv_minimize)
+    result = cert.result
+    assert cert.result is result
+    assert len(minimisations) == 1
+    start = _datum_start(C_SHAPE, opts.mesh_h)
+    want = jacobian_tv_minimize(start.mesh, start.values, opts, cert.lower)
+    assert result.iterations > 0
+    assert result.energy == want.energy >= cert.upper
+    assert result.dmap.values.tobytes() == want.dmap.values.tobytes()
+
+
+@pytest.mark.parametrize("name", ["figure-eight", "c-crossed"])
+def test_non_simple_certificate_is_the_direct_minimisation(monkeypatch, name):
+    opts = PlateauOptions(mesh_h=0.2)
+    poly = C_CROSSED if name == "c-crossed" else completed_curve(builtin_curve(name),
+                                                                 COMPLETION_VERTICES)
+    cert = plateau_value(poly, opts)
+    start = _datum_start(poly, opts.mesh_h)
+    lower = winding_area(poly)
+    want = jacobian_tv_minimize(start.mesh, start.values, opts, lower)
+    gap = want.energy > GAP_RATIO * lower + 1e-9
+    assert cert == PlateauCertificate(
+        lower, want.energy, want.stages[-1][0], opts.mesh_h, want.iterations,
+        want.converged and not gap, want.terminations[-1], gap, poly, opts)
+    # both fillers were kept: reading them minimises nothing more
+    minimisations = count_calls(monkeypatch, jacobian_tv_minimize)
+    assert cert.start.values.tobytes() == start.values.tobytes()
+    assert cert.result.dmap.values.tobytes() == want.dmap.values.tobytes()
+    assert len(minimisations) == 0
 
 
 # polygon 6 of the rng(3) draw: its winding area, 0.457, is well below the

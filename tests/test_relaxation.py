@@ -243,7 +243,9 @@ def test_report_constant_speed_filler_is_plateau_values(name):
     curve = builtin_curve(name)
     opts = PlateauOptions(mesh_h=0.3)
     rep = strict_convergence_report(curve, ExtensionParams(), (2,), opts)
-    assert rep.filler_jacobian_tv[0] == plateau_value(curve, opts).upper
+    # on vortex, a simple trace, the certificate's upper end is exact and not
+    # the filler's energy
+    assert rep.filler_jacobian_tv[0] == plateau_value(curve, opts).result.energy
     assert rep.area_target == relaxed_area(curve, ExtensionParams(), opts).relaxed_lower
 
 
