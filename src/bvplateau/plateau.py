@@ -129,8 +129,8 @@ class PlateauCertificate:
     traverses it at constant speed, and result the minimisation from
     start; start and result are built on first read, at most once, and
     plateau_value fills both when the minimiser made upper.  On a simple
-    trace upper is not result.energy, which lies at or above it.  poly
-    and options take no part in comparisons.
+    trace upper is not result.energy, which lies at or above it up to
+    rounding.  poly and options take no part in comparisons.
     """
 
     lower: float
